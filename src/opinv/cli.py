@@ -71,6 +71,44 @@ def _alpha_list(text: str):
     return tuple(_fraction(part) for part in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+#: options whose values may be negative rationals ("-1/3", "-3/5,4/5")
+_RATIONAL_OPTIONS = frozenset(
+    ("--alpha", "--beta", "--lambda", "--a", "--c", "--beta-m", "--phase", "--odd-alphas")
+)
+
+
+def _attach_negative_values(argv):
+    """Rewrite "--beta -1/3" as "--beta=-1/3".
+
+    argparse takes a separate argument that starts with "-" and is not a
+    plain negative number for an option, so it would refuse the value.  No
+    option of this tool starts with "-" and a digit, so the rewrite is
+    unambiguous.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in _RATIONAL_OPTIONS and value[:1] == "-" and value[1:2].isdigit():
+            out.append(f"{arg}={value}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--alpha", type=_fraction, default=None)
     parser.add_argument("--beta", type=_fraction, default=None)
@@ -125,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = add_parser("verify", help="verify one catalog identity")
     p_verify.add_argument("--identity", choices=ALL_IDENTITIES, required=True)
-    p_verify.add_argument("--size", type=int, default=8)
-    p_verify.add_argument("--samples", type=int, default=10)
+    p_verify.add_argument("--size", type=_positive_int, default=8)
+    p_verify.add_argument("--samples", type=_positive_int, default=10)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--pit", action="store_true",
                           help="grid sampling above the parameter degree bound")
@@ -152,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = add_parser("suite", help="run every identity at default sizes")
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--samples", type=int, default=SUITE_SAMPLES)
-    p_suite.add_argument("--size", type=int, default=SUITE_MATRIX_SIZE)
+    p_suite.add_argument("--samples", type=_positive_int, default=SUITE_SAMPLES)
+    p_suite.add_argument("--size", type=_positive_int, default=SUITE_MATRIX_SIZE)
     p_suite.add_argument("--pit", action="store_true")
 
     return parser
@@ -303,7 +341,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (ParamError, ValueError) as exc:

@@ -183,8 +183,14 @@ def as_rational(s: ScalarLike) -> Fraction:
 
 factorial = math.factorial
 
+#: entries kept by the pochhammer cache; a long-running process that sees
+#: ever new parameters would otherwise grow without limit
+POCHHAMMER_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+# typed: a real GaussianRational equals and hashes like the equal Fraction,
+# but the result type must follow the argument type
+@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE, typed=True)
 def pochhammer(a: ScalarLike, n: int) -> Scalar:
     """Rising factorial (a)_n = a(a+1)...(a+n-1); (a)_0 = 1."""
     if n < 0:

@@ -269,7 +269,12 @@ def _mp_explicit(n: int, lam: Fraction, phase: GaussianRational) -> Poly:
     return acc
 
 
-@lru_cache(maxsize=None)
+#: family members kept by the constructor cache; bounded so that a process
+#: serving ever new parameters does not grow without limit
+FAMILY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _polynomial_cached(family: str, n: int, params: ParamSet) -> Poly:
     if family == JACOBI:
         return _jacobi_explicit(n, params.alpha, params.beta)

@@ -147,11 +147,13 @@ def de_coefficients(config: GenHermiteConfig) -> Tuple[Poly, ...]:
     asserted.  Under the all-zero odd-alpha default, deg(a_k) <= k."""
     ix = Poly((0, I))
     rhs = [rhs_F(j, config) for j in range(1, config.max_n + 1)]
+    # i^d H_d(ix) for d = k - j, shared by every (k, j) pair with that d
+    shifted = [I ** d * hermite(d)(ix) for d in range(config.max_n)]
     coeffs = []
     for k in range(1, config.max_n + 1):
         acc = Poly.zero()
         for j in range(1, k + 1):
-            acc = acc + (I ** (k - j) * hermite(k - j)(ix)) * rhs[j - 1]
+            acc = acc + shifted[k - j] * rhs[j - 1]
         imag = acc.imag_part()
         assert imag.is_zero(), f"a_{k} has nonzero imaginary part {imag!r}"
         coeffs.append(acc.real_part())

@@ -129,3 +129,48 @@ def test_usage_error_without_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys)
     assert exc.value.code == 2
+
+
+def test_readme_eval_with_negative_rational(capsys):
+    code, out, _ = run(
+        capsys,
+        "eval", "--family", "jacobi", "--n", "3", "--alpha", "1/2",
+        "--beta", "-1/3", "--format", "latex",
+    )
+    assert code == 0
+    _, joined, _ = run(
+        capsys,
+        "eval", "--family", "jacobi", "--n", "3", "--alpha=1/2",
+        "--beta=-1/3", "--format", "latex",
+    )
+    assert out == joined
+
+
+def test_negative_phase_as_separate_argument(capsys):
+    code, out, _ = run(
+        capsys,
+        "eval", "--family", "meixner_pollaczek", "--n", "2", "--lambda", "1/2",
+        "--phase", "-3/5,4/5", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"var": "x", "coeffs": ["1/25", "-48/25", "32/25"]}
+
+
+def test_negative_odd_alphas_as_separate_argument(capsys):
+    code, out, _ = run(
+        capsys,
+        "gen-hermite", "check", "--max-n", "4", "--odd-alphas", "-1/2,0",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["verify", "suite"])
+@pytest.mark.parametrize("flag", ["--samples", "--size"])
+def test_nothing_to_check_is_usage_error(capsys, command, flag):
+    identity = ("--identity", "jacobi_inv") if command == "verify" else ()
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, *identity, flag, "0")
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

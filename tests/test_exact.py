@@ -21,6 +21,17 @@ def test_pochhammer_empty_product():
     assert pochhammer(GaussianRational(1, 1), 0) == 1
 
 
+def test_pochhammer_result_type_follows_argument_type():
+    # a real GaussianRational equals and hashes like the equal Fraction, so
+    # an untyped cache would hand one caller the other's result type
+    pochhammer.cache_clear()
+    assert isinstance(pochhammer(GaussianRational(F(5, 2)), 2), GaussianRational)
+    assert type(pochhammer(F(5, 2), 2)) is F
+    from opinv.genhermite import alpha_even
+
+    assert alpha_even(3) == F(35, 2)
+
+
 def test_pochhammer_hand_values():
     assert pochhammer(F(3, 2), 2) == F(15, 4)  # (3/2)(5/2)
     assert pochhammer(F(1, 2), 3) == F(15, 8)  # (1/2)(3/2)(5/2)
