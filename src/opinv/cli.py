@@ -12,6 +12,7 @@ LaTeX with --format latex where it makes sense.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -339,11 +340,14 @@ _COMMANDS = {
 }
 
 
+# built on the first main() call and reused: parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_attach_negative_values(list(argv)))
+    args = _parser().parse_args(_attach_negative_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (ParamError, ValueError) as exc:

@@ -100,14 +100,7 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return (GaussianRational(1) / self) ** (-n)
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, GaussianRational(1))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -177,6 +170,21 @@ def as_rational(s: ScalarLike) -> Fraction:
             raise ValueError(f"scalar has nonzero imaginary part: {s}")
         return s.re
     return s
+
+
+def binary_power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply in any ring: one product
+    per set bit after the first, and one squaring per bit below the top."""
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 # -- combinatorial helpers ----------------------------------------------

@@ -4,10 +4,10 @@ infinite-order differential equation they satisfy.
 The perturbed family is H_n + M*Q_n with Q_n built from the reproducing
 kernels K_n(x, y) = sum 2^k k! H_k(x) H_k(y).  The odd eigenvalue
 parameters are free; the even ones are pinned by the kernel values.  The
-equation coefficients a_k come out of the Hermite inversion machinery and
-are verified per degree by expanding the equation as a polynomial in the
-formal mass variable M (degree <= 2) and checking every M-coefficient
-vanishes identically.
+equation coefficients a_k are the Hermite inverse of opinv.inversion applied
+to the right-hand sides F_n.  They are verified per degree by expanding the
+equation as a polynomial in the formal mass variable M (degree <= 2) and
+checking every M-coefficient vanishes identically.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import I, factorial, pochhammer
+from .exact import factorial, pochhammer
 from .families import HERMITE, polynomial
+from .inversion import apply_hermite_inverse
 from .poly import BiPoly, Poly
 
 _HALF = Fraction(1, 2)
@@ -142,22 +143,10 @@ def rhs_F(n: int, config: GenHermiteConfig) -> Poly:
 
 
 def de_coefficients(config: GenHermiteConfig) -> Tuple[Poly, ...]:
-    """a_1..a_{max_n} via the Hermite inversion solution
+    """a_1..a_{max_n}: the catalog's Hermite inverse applied to F_1..F_{max_n},
     a_k = sum_j i^(k-j) H_{k-j}(ix) F_j, with vanishing imaginary parts
     asserted.  Under the all-zero odd-alpha default, deg(a_k) <= k."""
-    ix = Poly((0, I))
-    rhs = [rhs_F(j, config) for j in range(1, config.max_n + 1)]
-    # i^d H_d(ix) for d = k - j, shared by every (k, j) pair with that d
-    shifted = [I ** d * hermite(d)(ix) for d in range(config.max_n)]
-    coeffs = []
-    for k in range(1, config.max_n + 1):
-        acc = Poly.zero()
-        for j in range(1, k + 1):
-            acc = acc + shifted[k - j] * rhs[j - 1]
-        imag = acc.imag_part()
-        assert imag.is_zero(), f"a_{k} has nonzero imaginary part {imag!r}"
-        coeffs.append(acc.real_part())
-    return tuple(coeffs)
+    return apply_hermite_inverse([rhs_F(j, config) for j in range(1, config.max_n + 1)])
 
 
 def degree_bound_report(config: GenHermiteConfig) -> Dict[int, int]:

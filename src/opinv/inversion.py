@@ -3,7 +3,11 @@ of inversion / convolution identities, each verified to zero residual.
 
 Matrix identities are checked the strong way: the closed-form left factor
 must equal the computed inverse entry by entry, not merely give U*T = I
-(the product check is kept as an internal assertion of invert_triangular).
+(the product check is the single ``inverse @ self`` assertion in
+LowerTriPolyMatrix.invert).
+
+trisolve's closed forms and genhermite's a_k apply the Laguerre, Jacobi and
+Hermite inverses written here; no other module restates one.
 
 Indexing: matrices are stored 0-based, matching the i,j = 0,1,2,... of the
 Charlier/Laguerre/Jacobi catalog entries; the banded Legendre/Chebyshev
@@ -24,11 +28,12 @@ and the literal triple sum is verified separately as well.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import GaussianRational, I, factorial, pochhammer
 from .families import (
@@ -52,6 +57,7 @@ from .poly import BiPoly, Poly
 
 _HALF = Fraction(1, 2)
 _NEG_X = Poly((0, -1))
+_IX = Poly((0, I))
 
 
 class LowerTriPolyMatrix:
@@ -344,8 +350,25 @@ def closed_form_inverse(
     )
 
 
-def invert_triangular(matrix: LowerTriPolyMatrix) -> LowerTriPolyMatrix:
-    return matrix.invert()
+def _hermite_inverse_factors(count: int) -> List[Poly]:
+    """i^d H_d(ix) for d < count: the Hermite inverse entry u_kj depends on
+    k - j = d only.  Each value is composed once per call."""
+    return [I ** d * polynomial(HERMITE, d)(_IX) for d in range(count)]
+
+
+def apply_hermite_inverse(rhs: Sequence[Poly]) -> Tuple[Poly, ...]:
+    """a_k = sum_{j<=k} i^(k-j) H_{k-j}(ix) F_j for F_1..F_N = rhs, computed
+    in Q(i); the imaginary part of every a_k is asserted to vanish."""
+    factors = _hermite_inverse_factors(len(rhs))
+    out = []
+    for k in range(len(rhs)):
+        acc = Poly.zero()
+        for j in range(k + 1):
+            acc = acc + factors[k - j] * rhs[j]
+        imag = acc.imag_part()
+        assert imag.is_zero(), f"a_{k + 1} has nonzero imaginary part {imag!r}"
+        out.append(acc.real_part())
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +377,8 @@ def invert_triangular(matrix: LowerTriPolyMatrix) -> LowerTriPolyMatrix:
 
 def _hermite_conv_residual(n: int) -> Poly:
     # sum_k H_k(x) H_{n-k}(ix) i^{n-k}  -  delta_{n0}
-    ix = Poly((0, I))
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + polynomial(HERMITE, k) * (
-            polynomial(HERMITE, n - k)(ix) * I ** (n - k)
-        )
+    factors = _hermite_inverse_factors(n + 1)
+    acc = sum((polynomial(HERMITE, k) * factors[n - k] for k in range(n + 1)), Poly.zero())
     return acc - (Poly.one() if n == 0 else Poly.zero())
 
 
@@ -442,22 +461,71 @@ def sample_phase(rng: random.Random, bound: int = 12) -> GaussianRational:
         return GaussianRational(Fraction(m * m - n * n, h), Fraction(2 * m * n, h))
 
 
-def _params_pole_free(identity: str, params: ParamSet, size: int) -> bool:
-    try:
-        if identity in MATRIX_IDENTITIES:
-            for i in range(size):
-                for j in range(i + 1):
-                    _matrix_entry(identity, i, j, params)
-                    closed_form_inverse_entry(identity, i, j, params)
-        elif identity == "jacobi_two_var":
-            for n in range(size + 1):
-                s = params.alpha + params.beta
-                for k in range(n + 1):
-                    if pochhammer(s + k + 1, n + 1) == 0:
-                        return False
-        return True
-    except (PoleError, ParamError):
-        return False
+def _sample_matrices(identity: str, size: int, params: ParamSet):
+    """(base, closed-form inverse) of a matrix identity at params, (None,
+    None) for a convolution identity; raises PoleError or ParamError where
+    params hit a pole."""
+    if identity in MATRIX_IDENTITIES:
+        return build_matrix(identity, size, params), closed_form_inverse(identity, size, params)
+    if identity == "jacobi_two_var":
+        # the factors (s+k+1)_{n+1}, k <= n <= size, run over s+1 .. s+2*size+1
+        if pochhammer(params.alpha + params.beta + 1, 2 * size + 1) == 0:
+            raise PoleError(f"jacobi_two_var pole for n <= {size}")
+    return None, None
+
+
+def _candidates(names: Sequence[str], size: int, count: int, seed: int, pit: bool):
+    """Parameter candidates in draw order: the whole PIT grid, or up to
+    count * 200 seeded random draws."""
+    if pit:
+        # grid side exceeds the per-parameter degree bound, so zero residual
+        # on the whole grid certifies the identity in those parameters
+        grid_side = 2 * size + 3
+        values = [Fraction(v, 2) + Fraction(1, 3) for v in range(1, grid_side + 1)]
+        rational_names = [name for name in names if name != "phase"]
+        for combo in itertools.product(values, repeat=len(rational_names)):
+            kwargs = dict(zip(rational_names, combo))
+            if "phase" in names:
+                kwargs["phase"] = DEFAULT_PHASE_SAMPLE
+            yield ParamSet(**kwargs)
+        return
+    rng = random.Random(seed)
+    for _ in range(count * 200):
+        kwargs = {}
+        for name in names:
+            if name == "phase":
+                kwargs[name] = sample_phase(rng)
+            elif name == "c":
+                c = sample_rational(rng)
+                if c == 0:
+                    c = Fraction(1, 2)
+                kwargs[name] = c
+            else:
+                kwargs[name] = sample_rational(rng)
+        yield ParamSet(**kwargs)
+
+
+def _pole_free_samples(
+    identity: str, size: int, count: int, seed: int, pit: bool
+) -> Iterator[tuple]:
+    """Lazily, (params, base, closed) for each pole-free candidate: the
+    matrices built to prove params pole-free are the ones verified."""
+    names = IDENTITY_PARAMS[identity]
+    if not names:
+        yield (EMPTY_PARAMS, *_sample_matrices(identity, size, EMPTY_PARAMS))
+        return
+    found = 0
+    for params in _candidates(names, size, count, seed, pit):
+        try:
+            base, closed = _sample_matrices(identity, size, params)
+        except (PoleError, ParamError):
+            continue
+        yield params, base, closed
+        found += 1
+        if found == count and not pit:
+            return
+    if found < count and not pit:
+        raise RuntimeError(f"could not find {count} pole-free samples for {identity}")
 
 
 def sample_params(
@@ -470,47 +538,7 @@ def sample_params(
     zero-residual checks into a proof by polynomial identity testing.
     """
     _check_identity_tag(identity)
-    names = IDENTITY_PARAMS[identity]
-    if not names:
-        return [EMPTY_PARAMS]
-    rng = random.Random(seed)
-    out: List[ParamSet] = []
-    if pit:
-        # grid side exceeds the per-parameter degree bound, so zero residual
-        # on the whole grid certifies the identity in those parameters
-        grid_side = 2 * size + 3
-        values = [Fraction(v, 2) + Fraction(1, 3) for v in range(1, grid_side + 1)]
-        rational_names = [name for name in names if name != "phase"]
-        import itertools
-
-        for combo in itertools.product(values, repeat=len(rational_names)):
-            kwargs = dict(zip(rational_names, combo))
-            if "phase" in names:
-                kwargs["phase"] = DEFAULT_PHASE_SAMPLE
-            ps = ParamSet(**kwargs)
-            if _params_pole_free(identity, ps, size):
-                out.append(ps)
-        return out
-    attempts = 0
-    while len(out) < count and attempts < count * 200:
-        attempts += 1
-        kwargs = {}
-        for name in names:
-            if name == "phase":
-                kwargs[name] = sample_phase(rng)
-            elif name == "c":
-                c = sample_rational(rng)
-                if c == 0:
-                    c = Fraction(1, 2)
-                kwargs[name] = c
-            else:
-                kwargs[name] = sample_rational(rng)
-        ps = ParamSet(**kwargs)
-        if _params_pole_free(identity, ps, size):
-            out.append(ps)
-    if len(out) < count:
-        raise RuntimeError(f"could not find {count} pole-free samples for {identity}")
-    return out
+    return [params for params, _, _ in _pole_free_samples(identity, size, count, seed, pit)]
 
 
 DEFAULT_PHASE_SAMPLE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
@@ -569,55 +597,58 @@ def verify_identity(
     """Run one identity's verifier over parameter samples; failures are
     reported (with the first counterexample location), never raised."""
     _check_identity_tag(identity)
-    if param_samples is None:
-        param_samples = sample_params(identity, size, samples, seed, pit=pit)
     start = time.monotonic()
-    report = VerificationReport(identity=identity, size=size, param_samples=list(param_samples))
-
-    def fail(location: dict, residual: Poly):
-        report.status = "fail"
-        report.counterexample = dict(location, residual=residual.to_json())
-
-    for params in param_samples:
-        if report.status == "fail":
+    report = VerificationReport(identity=identity, size=size)
+    if param_samples is None:
+        drawn = _pole_free_samples(identity, size, samples, seed, pit)
+    else:
+        report.param_samples = list(param_samples)
+        drawn = ((p, *_sample_matrices(identity, size, p)) for p in report.param_samples)
+    checked = []
+    for params, base, closed in drawn:
+        checked.append(params)
+        found = _counterexample(identity, size, params, base, closed)
+        if found is not None:
+            location, residual = found
+            report.status = "fail"
+            report.counterexample = dict(location, residual=residual.to_json())
             break
-        if identity in MATRIX_IDENTITIES:
-            base = build_matrix(identity, size, params)
-            computed = base.invert()
-            closed = closed_form_inverse(identity, size, params)
-            for i in range(size):
-                for j in range(i + 1):
-                    residual = closed.entry(i, j) - computed.entry(i, j)
-                    if not residual.is_zero():
-                        fail({"i": i, "j": j, "params": _params_json(params)}, residual)
-                        break
-                else:
-                    continue
-                break
-            else:
-                if identity == "jacobi_inv":
-                    _verify_jacobi_inv_literal(size, params, fail)
-        elif identity == "jacobi_two_var":
-            for n in range(size + 1):
-                lhs, rhs = jacobi_two_var_sides(n, params.alpha, params.beta)
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    worst = max(diff.coeffs, key=lambda p: p.degree)
-                    fail({"n": n, "params": _params_json(params)}, worst)
-                    break
-        else:
-            for n in range(size + 1):
-                residual = _convolution_residual(identity, n)
-                if not residual.is_zero():
-                    fail({"n": n, "params": _params_json(params)}, residual)
-                    break
+    if param_samples is None:
+        # a failure ends the checks; the rest of the draw only completes the
+        # list of samples, so the report names the same ones sample_params does
+        report.param_samples = checked + [p for p, _, _ in drawn]
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report
 
 
-def _verify_jacobi_inv_literal(size: int, params: ParamSet, fail) -> None:
+def _counterexample(identity: str, size: int, params: ParamSet, base, closed):
+    """(location, residual) of the first nonzero residual of one sample, or None."""
+    if identity in MATRIX_IDENTITIES:
+        computed = base.invert()
+        for i in range(size):
+            for j in range(i + 1):
+                residual = closed.entry(i, j) - computed.entry(i, j)
+                if not residual.is_zero():
+                    return {"i": i, "j": j, "params": _params_json(params)}, residual
+        if identity == "jacobi_inv":
+            return _jacobi_inv_literal_counterexample(size, params)
+        return None
+    for n in range(size + 1):
+        if identity == "jacobi_two_var":
+            lhs, rhs = jacobi_two_var_sides(n, params.alpha, params.beta)
+            diff = lhs - rhs
+            residual = max(diff.coeffs, key=lambda p: p.degree, default=Poly.zero())
+        else:
+            residual = _convolution_residual(identity, n)
+        if not residual.is_zero():
+            return {"n": n, "params": _params_json(params)}, residual
+    return None
+
+
+def _jacobi_inv_literal_counterexample(size: int, params: ParamSet):
     """The paper's literal triple sum for the Jacobi inversion:
-    sum_k (a+b+2k+1)/(a+b+k+j+1)_{i-j+1} P_{i-k}^(-a-i-1,-b-i-1) P_{k-j}^(a+j,b+j) = delta_ij."""
+    sum_k (a+b+2k+1)/(a+b+k+j+1)_{i-j+1} P_{i-k}^(-a-i-1,-b-i-1) P_{k-j}^(a+j,b+j) = delta_ij;
+    (location, residual) of its first nonzero residual, or None."""
     a, b = params.alpha, params.beta
     s = a + b
     for i in range(size):
@@ -633,11 +664,8 @@ def _verify_jacobi_inv_literal(size: int, params: ParamSet, fail) -> None:
                 )
             residual = acc - (Poly.one() if i == j else Poly.zero())
             if not residual.is_zero():
-                fail(
-                    {"i": i, "j": j, "form": "literal", "params": _params_json(params)},
-                    residual,
-                )
-                return
+                return {"i": i, "j": j, "form": "literal", "params": _params_json(params)}, residual
+    return None
 
 
 def bavinck_series_replay(alpha: Fraction, i: int, j: int, order: int) -> bool:

@@ -29,6 +29,7 @@ from .exact import (
     GaussianRational,
     Scalar,
     ScalarLike,
+    binary_power,
     ensure_scalar,
     format_scalar,
     imag_part,
@@ -247,14 +248,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("Poly power requires a nonnegative integer")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, _ONE_POLY)
 
     def __eq__(self, other):
         o = other if isinstance(other, Poly) else _scalar_poly(other)
@@ -515,14 +509,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("BiPoly power requires a nonnegative integer")
-        result = BiPoly((Poly.one(),), var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, BiPoly((Poly.one(),), var=self.var))
 
     def __eq__(self, other):
         o = self._coerce(other)

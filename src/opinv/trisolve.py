@@ -2,8 +2,9 @@
 
 The generic route is forward substitution: the system is triangular in the
 coefficient index because D^n p_n is a nonzero constant, so a_n is pinned
-by rows 1..n.  The closed forms express a_i directly through the inverted
-family matrices; the two routes are cross-checked exactly.
+by rows 1..n.  The closed forms apply the catalog's inverses from
+opinv.inversion to F (laguerre_inv, jacobi_inv, and the Hermite inverse);
+the two routes are cross-checked exactly.
 
 The underlying systems are infinite (n = 1, 2, 3, ...), but a_i depends
 only on F_1..F_i, so truncating at N determines a_1..a_N exactly; solving
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import I, pochhammer
+from .exact import pochhammer
 from .families import (
     HERMITE,
     JACOBI,
@@ -26,6 +27,7 @@ from .families import (
     polynomial,
     validate_params,
 )
+from .inversion import apply_hermite_inverse, closed_form_inverse_entry
 from .poly import Poly
 
 SOLVABLE_FAMILIES = (LAGUERRE, HERMITE, JACOBI)
@@ -60,10 +62,6 @@ class CoeffSolution:
         }
 
 
-def _rhs_poly(sys: DiffSystem, n: int) -> Poly:
-    return sys.rhs[n - 1]
-
-
 def solve_generic(sys: DiffSystem) -> CoeffSolution:
     """Forward substitution row by row in the polynomial degree n."""
     N = len(sys.rhs)
@@ -76,7 +74,7 @@ def solve_generic(sys: DiffSystem) -> CoeffSolution:
                 f"diagonal term D^{n} p_{n} is not a nonzero constant "
                 f"(family {sys.family}, params {sys.params})"
             )
-        residual = _rhs_poly(sys, n)
+        residual = sys.rhs[n - 1]
         for i in range(1, n):
             residual = residual - coeffs[i - 1] * p_n.derivative(i)
         coeffs.append((1 / diag.coeff(0)) * residual)
@@ -86,51 +84,31 @@ def solve_generic(sys: DiffSystem) -> CoeffSolution:
 
 
 def solve_closed_form(sys: DiffSystem) -> CoeffSolution:
-    """The catalog's explicit solution formulas.
+    """The catalog's solution formulas, u being the closed-form inverse
+    opinv.inversion gives for the identity named:
 
-    laguerre: a_i = (-1)^i sum_j L_{i-j}^(-alpha-i-1)(-x) F_j
-    hermite:  a_k = sum_j i^(k-j) H_{k-j}(ix) F_j  (evaluated in Q(i); the
-              imaginary part of every a_k is asserted to vanish)
-    jacobi:   c_i = 2^i sum_j (a+b+2j+1)/(a+b+j+1)_{i+1}
-                         * P_{i-j}^(-a-i-1,-b-i-1) F_j
+    laguerre: a_i = (-1)^i sum_j u_ij F_j, laguerre_inv: u_ij = L_{i-j}^(-alpha-i-1)(-x)
+    hermite:  a_k = sum_j i^(k-j) H_{k-j}(ix) F_j  (apply_hermite_inverse)
+    jacobi:   c_i = 2^i / (a+b+i+1)_i sum_j u_ij F_j, jacobi_inv
+
+    The row scalings follow from D^i L_n^(alpha) = (-1)^i L_{n-i}^(alpha+i)
+    and D^i P_n^(a,b) = (n+a+b+1)_i / 2^i P_{n-i}^(a+i,b+i); u_ii raises
+    PoleError before (a+b+i+1)_i can vanish.
     """
-    N = len(sys.rhs)
-    neg_x = Poly((0, -1))
-    coeffs = []
-    if sys.family == LAGUERRE:
-        alpha = sys.params.alpha
-        for i in range(1, N + 1):
+    if sys.family == HERMITE:
+        coeffs = apply_hermite_inverse(sys.rhs)
+    else:  # DiffSystem admits laguerre, hermite and jacobi only
+        identity = "laguerre_inv" if sys.family == LAGUERRE else "jacobi_inv"
+        coeffs = []
+        for i in range(1, len(sys.rhs) + 1):
             acc = Poly.zero()
             for j in range(1, i + 1):
-                left = polynomial(LAGUERRE, i - j, ParamSet(alpha=-alpha - i - 1))(neg_x)
-                acc = acc + left * _rhs_poly(sys, j)
-            coeffs.append((-1) ** i * acc)
-    elif sys.family == HERMITE:
-        ix = Poly((0, I))
-        for k in range(1, N + 1):
-            acc = Poly.zero()
-            for j in range(1, k + 1):
-                left = I ** (k - j) * polynomial(HERMITE, k - j)(ix)
-                acc = acc + left * _rhs_poly(sys, j)
-            imag = acc.imag_part()
-            assert imag.is_zero(), f"a_{k} has nonzero imaginary part {imag!r}"
-            coeffs.append(acc.real_part())
-    elif sys.family == JACOBI:
-        a, b = sys.params.alpha, sys.params.beta
-        s = a + b
-        for i in range(1, N + 1):
-            acc = Poly.zero()
-            for j in range(1, i + 1):
-                den = pochhammer(s + j + 1, i + 1)
-                if den == 0:
-                    raise ParamError(
-                        f"jacobi closed form pole: (a+b+{j}+1)_{i + 1} = 0"
-                    )
-                left = polynomial(JACOBI, i - j, ParamSet(alpha=-a - i - 1, beta=-b - i - 1))
-                acc = acc + ((s + 2 * j + 1) / den) * left * _rhs_poly(sys, j)
-            coeffs.append(Fraction(2 ** i) * acc)
-    else:
-        raise ParamError(f"no closed form for family {sys.family!r}")
+                acc = acc + closed_form_inverse_entry(identity, i, j, sys.params) * sys.rhs[j - 1]
+            if sys.family == LAGUERRE:
+                scale = (-1) ** i
+            else:
+                scale = Fraction(2 ** i) / pochhammer(sys.params.alpha + sys.params.beta + i + 1, i)
+            coeffs.append(scale * acc)
     solution = CoeffSolution(tuple(coeffs), "closed_form")
     _assert_satisfies(sys, solution)
     return solution
@@ -143,6 +121,6 @@ def _assert_satisfies(sys: DiffSystem, solution: CoeffSolution) -> None:
         acc = Poly.zero()
         for i in range(1, n + 1):
             acc = acc + solution.coeffs[i - 1] * p_n.derivative(i)
-        assert acc == _rhs_poly(sys, n), (
+        assert acc == sys.rhs[n - 1], (
             f"solution does not satisfy row n={n} ({solution.method})"
         )

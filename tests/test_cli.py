@@ -174,3 +174,23 @@ def test_nothing_to_check_is_usage_error(capsys, command, flag):
         run(capsys, command, *identity, flag, "0")
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_repeated_calls_give_identical_output(capsys):
+    args = ("solve", "--family", "jacobi", "--alpha", "1/3", "--beta", "-1/4",
+            "--rhs", '[{"var":"x","coeffs":["0","1"]},{"var":"x","coeffs":["2"]}]',
+            "--format", "json")
+    first = run(capsys, *args)
+    run(capsys, "eval", "--family", "hermite", "--n", "3")
+    assert run(capsys, *args) == first
+    assert first[0] == 0
+
+
+def test_usage_error_after_successful_call(capsys):
+    assert run(capsys, "eval", "--family", "hermite", "--n", "2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--identity", "nonsense")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'nonsense'" in captured.err

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from opinv.families import ParamSet
+from opinv.exact import format_scalar
+from opinv.families import ParamSet, PoleError
 from opinv.inversion import (
     ALL_IDENTITIES,
     CONVOLUTION_IDENTITIES,
@@ -191,6 +192,51 @@ def test_verify_identity_reports_counterexample_location():
     assert report.passed
     assert report.counterexample is None
     assert report.to_json()["status"] == "pass"
+
+
+def test_verify_identity_reports_perturbed_entry(monkeypatch):
+    from opinv import inversion
+
+    expected_samples = sample_params("charlier_inv", 4, 3, seed=5)
+    entry = inversion.closed_form_inverse_entry
+
+    def perturbed(identity, i, j, params=ParamSet()):
+        value = entry(identity, i, j, params)
+        return value + 1 if (identity, i, j) == ("charlier_inv", 2, 1) else value
+
+    monkeypatch.setattr(inversion, "closed_form_inverse_entry", perturbed)
+    report = verify_identity("charlier_inv", size=4, samples=3, seed=5)
+    assert report.status == "fail"
+    cx = report.counterexample
+    assert (cx["i"], cx["j"]) == (2, 1)
+    assert cx["params"] == {"a": format_scalar(expected_samples[0].a)}
+    assert cx["residual"] == {"var": "x", "coeffs": ["1"]}
+    # the check stops at the first sample, the report lists all of them
+    assert report.param_samples == expected_samples
+    assert len(expected_samples) == 3
+
+
+def test_verify_identity_builds_each_sample_once(monkeypatch):
+    from opinv import inversion
+
+    calls = []
+    for name in ("_matrix_entry", "closed_form_inverse_entry"):
+        original = getattr(inversion, name)
+        monkeypatch.setattr(
+            inversion, name,
+            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args),
+        )
+    report = verify_identity("jacobi_inv", size=4, samples=3, seed=2)
+    assert report.passed and len(report.param_samples) == 3
+    # 10 entries per matrix, no candidate rejected at this seed
+    assert calls.count("_matrix_entry") == calls.count("closed_form_inverse_entry") == 30
+
+
+def test_given_samples_with_pole_raise():
+    with pytest.raises(PoleError):
+        verify_identity(
+            "jacobi_inv", size=4, param_samples=[ParamSet(alpha=F(-1), beta=F(-1))]
+        )
 
 
 def test_sampling_is_deterministic():

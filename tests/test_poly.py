@@ -276,3 +276,34 @@ def test_caches_are_bounded():
         pochhammer(F(k, 11), 1)
     assert _polynomial_cached.cache_info().currsize == family_info.maxsize
     assert pochhammer.cache_info().currsize == pochhammer_info.maxsize
+
+
+def test_power_uses_no_unused_squarings(monkeypatch):
+    p = Poly((F(1, 2), -1, F(2, 3)))
+    powers = [Poly.one()]
+    for _ in range(16):
+        powers.append(powers[-1] * p)
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    for n in range(17):
+        calls.clear()
+        assert p ** n == powers[n]
+        # one squaring per bit below the top, one product per further set bit
+        expected = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+        assert len(calls) == expected, n
+
+
+def test_bipoly_and_gaussian_powers_match_repeated_products():
+    b = BiPoly((Poly((1, F(1, 2))), Poly.const(F(-1, 3))), var="y")
+    g = GaussianRational(F(1, 2), F(-2, 3))
+    b_acc, g_acc = BiPoly((Poly.one(),), var="y"), GaussianRational(1)
+    for n in range(17):
+        assert b ** n == b_acc and g ** n == g_acc, n
+        b_acc, g_acc = b_acc * b, g_acc * g
+    assert g ** -3 == GaussianRational(1) / (g * g * g)

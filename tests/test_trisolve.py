@@ -107,3 +107,10 @@ def test_solution_json():
     data = sol.to_json()
     assert data["method"] == "generic"
     assert Poly.from_json(data["coeffs"][0]) == Poly.x()
+
+
+def test_closed_form_rejects_pole_parameters():
+    # a+b = -2: the jacobi_inv row weight (a+b+2)_2 vanishes at u_11
+    sys = DiffSystem(JACOBI, ParamSet(alpha=F(-1), beta=F(-1)), (Poly.one(),))
+    with pytest.raises(ParamError, match="pole"):
+        solve_closed_form(sys)
