@@ -12,11 +12,12 @@ LaTeX with --format latex where it makes sense.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .exact import GaussianRational, format_scalar
 from .families import (
@@ -72,14 +73,24 @@ def _alpha_list(text: str):
     return tuple(_fraction(part) for part in text.split(","))
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, 1)
+
+
+def _rhs(text: str) -> Tuple[Poly, ...]:
+    try:
+        return tuple(Poly.from_json(obj) for obj in json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a JSON list of polynomials: {text!r}") from exc
 
 
 #: options whose values may be negative rationals ("-1/3", "-3/5,4/5")
@@ -121,15 +132,7 @@ def _add_param_flags(parser: argparse.ArgumentParser):
 
 
 def _params_from_args(args) -> ParamSet:
-    return ParamSet(
-        alpha=args.alpha,
-        beta=args.beta,
-        lam=args.lam,
-        a=args.a,
-        c=args.c,
-        beta_m=args.beta_m,
-        phase=args.phase,
-    )
+    return ParamSet(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ParamSet)})
 
 
 def _emit(obj: dict, text: str, fmt: str, latex: Optional[str] = None):
@@ -172,13 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_invert = add_parser("invert", help="build and invert an identity's matrix")
     p_invert.add_argument("--identity", choices=MATRIX_IDENTITIES, required=True)
-    p_invert.add_argument("--size", type=int, default=4)
+    p_invert.add_argument("--size", type=_positive_int, default=4)
     _add_param_flags(p_invert)
 
     p_solve = add_parser("solve", help="solve sum a_i D^i p_n = F_n both ways")
     p_solve.add_argument("--family", choices=SOLVABLE_FAMILIES, required=True)
     p_solve.add_argument(
         "--rhs",
+        type=_rhs,
         required=True,
         help='JSON list of polynomials, e.g. \'[{"var":"x","coeffs":["0","1"]}]\'',
     )
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = add_parser("gen-hermite", help="perturbed-Hermite pipeline")
     p_gen.add_argument("action", choices=("coeffs", "check", "kernel"))
-    p_gen.add_argument("--max-n", type=int, required=True)
+    p_gen.add_argument("--max-n", type=functools.partial(_int_at_least, 0), required=True)
     p_gen.add_argument("--odd-alphas", type=_alpha_list, default=())
 
     p_suite = add_parser("suite", help="run every identity at default sizes")
@@ -246,8 +250,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    rhs = tuple(Poly.from_json(obj) for obj in json.loads(args.rhs))
-    system = DiffSystem(args.family, _params_from_args(args), rhs)
+    system = DiffSystem(args.family, _params_from_args(args), args.rhs)
     generic = solve_generic(system)
     closed = solve_closed_form(system)
     equal = generic.coeffs == closed.coeffs
@@ -257,7 +260,7 @@ def _cmd_solve(args) -> int:
         "closed_form": closed.to_json(),
         "equal": equal,
     }
-    lines = [f"{args.family}, N={len(rhs)}, methods agree: {equal}"]
+    lines = [f"{args.family}, N={len(args.rhs)}, methods agree: {equal}"]
     for k, p in enumerate(generic.coeffs, start=1):
         lines.append(f"  a_{k} = {p.to_latex()}")
     _emit(obj, "\n".join(lines), args.format)
@@ -267,13 +270,13 @@ def _cmd_solve(args) -> int:
 def _cmd_gen_hermite(args) -> int:
     config = GenHermiteConfig(max_n=args.max_n, odd_alphas=args.odd_alphas)
     if args.action == "kernel":
+        values = [(kernel(n), kernel_at_zero(n)) for n in range(args.max_n + 1)]
         obj = {
-            "kernels": [kernel(n).to_json() for n in range(args.max_n + 1)],
-            "at_zero": [format_scalar(kernel_at_zero(n)) for n in range(args.max_n + 1)],
+            "kernels": [k.to_json() for k, _ in values],
+            "at_zero": [format_scalar(v) for _, v in values],
         }
         text = "\n".join(
-            f"K_{n}(x,0) = {kernel(n).to_latex()}   K_{n}(0,0) = {kernel_at_zero(n)}"
-            for n in range(args.max_n + 1)
+            f"K_{n}(x,0) = {k.to_latex()}   K_{n}(0,0) = {v}" for n, (k, v) in enumerate(values)
         )
         _emit(obj, text, args.format)
         return 0

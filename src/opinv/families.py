@@ -24,7 +24,7 @@ Normalizations follow the generating functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -103,9 +103,6 @@ class ParamSet:
     c: Optional[Fraction] = None
     beta_m: Optional[Fraction] = None
     phase: Optional[GaussianRational] = None
-
-    def with_(self, **kwargs) -> "ParamSet":
-        return replace(self, **kwargs)
 
 
 EMPTY_PARAMS = ParamSet()

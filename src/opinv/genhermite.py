@@ -46,8 +46,11 @@ def kernel(n: int, y0: Fraction = Fraction(0)) -> Poly:
 
 
 def kernel_at_zero(n: int) -> Fraction:
-    """K_n(0, 0); equals (3/2)_m / m! for n in {2m, 2m+1}."""
-    return Fraction(kernel(n)(Fraction(0)))
+    """K_n(0, 0) = sum_{k<=n} 2^k k! H_k(0)^2, a scalar sum; equals
+    (3/2)_m / m! for n in {2m, 2m+1}."""
+    if n < 0:
+        raise ValueError("kernel index must be >= 0")
+    return sum(2 ** k * factorial(k) * hermite_at_zero(k) ** 2 for k in range(n + 1))
 
 
 def q_coefficient(n: int, k: int) -> Fraction:
@@ -144,8 +147,8 @@ def rhs_F(n: int, config: GenHermiteConfig) -> Poly:
 
 def de_coefficients(config: GenHermiteConfig) -> Tuple[Poly, ...]:
     """a_1..a_{max_n}: the catalog's Hermite inverse applied to F_1..F_{max_n},
-    a_k = sum_j i^(k-j) H_{k-j}(ix) F_j, with vanishing imaginary parts
-    asserted.  Under the all-zero odd-alpha default, deg(a_k) <= k."""
+    a_k = sum_j i^(k-j) H_{k-j}(ix) F_j.  Under the all-zero odd-alpha
+    default, deg(a_k) <= k."""
     return apply_hermite_inverse([rhs_F(j, config) for j in range(1, config.max_n + 1)])
 
 

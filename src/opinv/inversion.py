@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .exact import GaussianRational, I, factorial, pochhammer
+from .exact import GaussianRational, factorial, pochhammer
 from .families import (
     CHARLIER,
     CHEBYSHEV_T,
@@ -57,7 +57,6 @@ from .poly import BiPoly, Poly
 
 _HALF = Fraction(1, 2)
 _NEG_X = Poly((0, -1))
-_IX = Poly((0, I))
 
 
 class LowerTriPolyMatrix:
@@ -352,23 +351,25 @@ def closed_form_inverse(
 
 def _hermite_inverse_factors(count: int) -> List[Poly]:
     """i^d H_d(ix) for d < count: the Hermite inverse entry u_kj depends on
-    k - j = d only.  Each value is composed once per call."""
-    return [I ** d * polynomial(HERMITE, d)(_IX) for d in range(count)]
+    k - j = d only.  It is the t^d coefficient of exp(-xt + t^2/4), the
+    reciprocal of the generating function exp(xt - t^2/4), so it is rational:
+    i^d H_d(ix) = sum_k (-x)^(d-2k) / (4^k k! (d-2k)!)."""
+    factors = []
+    for d in range(count):
+        coeffs = [0] * (d + 1)
+        for k in range(d // 2 + 1):
+            coeffs[d - 2 * k] = Fraction((-1) ** d, 4 ** k * factorial(k) * factorial(d - 2 * k))
+        factors.append(Poly(coeffs))
+    return factors
 
 
 def apply_hermite_inverse(rhs: Sequence[Poly]) -> Tuple[Poly, ...]:
-    """a_k = sum_{j<=k} i^(k-j) H_{k-j}(ix) F_j for F_1..F_N = rhs, computed
-    in Q(i); the imaginary part of every a_k is asserted to vanish."""
+    """a_k = sum_{j<=k} i^(k-j) H_{k-j}(ix) F_j for F_1..F_N = rhs."""
     factors = _hermite_inverse_factors(len(rhs))
-    out = []
-    for k in range(len(rhs)):
-        acc = Poly.zero()
-        for j in range(k + 1):
-            acc = acc + factors[k - j] * rhs[j]
-        imag = acc.imag_part()
-        assert imag.is_zero(), f"a_{k + 1} has nonzero imaginary part {imag!r}"
-        out.append(acc.real_part())
-    return tuple(out)
+    return tuple(
+        sum((factors[k - j] * rhs[j] for j in range(k + 1)), Poly.zero())
+        for k in range(len(rhs))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -441,10 +441,6 @@ class BiPoly:
     def aux(cls, var: str = "y") -> "BiPoly":
         return cls((Poly.zero(), Poly.one()), var=var)
 
-    @property
-    def aux_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

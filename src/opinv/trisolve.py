@@ -88,7 +88,7 @@ def solve_closed_form(sys: DiffSystem) -> CoeffSolution:
     opinv.inversion gives for the identity named:
 
     laguerre: a_i = (-1)^i sum_j u_ij F_j, laguerre_inv: u_ij = L_{i-j}^(-alpha-i-1)(-x)
-    hermite:  a_k = sum_j i^(k-j) H_{k-j}(ix) F_j  (apply_hermite_inverse)
+    hermite:  a_k = sum_j i^(k-j) H_{k-j}(ix) F_j, a rational inverse (apply_hermite_inverse)
     jacobi:   c_i = 2^i / (a+b+i+1)_i sum_j u_ij F_j, jacobi_inv
 
     The row scalings follow from D^i L_n^(alpha) = (-1)^i L_{n-i}^(alpha+i)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -194,3 +198,62 @@ def test_usage_error_after_successful_call(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'nonsense'" in captured.err
+
+
+COMPLEX_HERMITE_SOLVE = (
+    "solve", "--family", "hermite",
+    "--rhs", '[{"var":"x","coeffs":["1/2+1*i"]}]', "--format", "json",
+)
+
+
+def test_hermite_solve_accepts_gaussian_rhs(capsys):
+    code, out, _ = run(capsys, *COMPLEX_HERMITE_SOLVE)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["equal"] is True
+    assert obj["closed_form"]["coeffs"] == [{"var": "x", "coeffs": ["1/2+1*i"]}]
+
+
+def test_hermite_solve_accepts_gaussian_rhs_under_optimize():
+    # python -O strips asserts: the result must not depend on one
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "opinv.cli", *COMPLEX_HERMITE_SOLVE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["equal"] is True
+
+
+@pytest.mark.parametrize("rhs", ["[{}]", '{"a":1}', '[{"coeffs":["1/0"]}]', "[{", "[5]"])
+def test_malformed_rhs_is_usage_error(capsys, rhs):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "solve", "--family", "hermite", "--rhs", rhs)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --rhs: not a JSON list of polynomials" in err
+    assert "Traceback" not in err
+
+
+_CHARLIER = ("invert", "--identity", "charlier_inv", "--a", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((*_CHARLIER, "--size", "0"), id="invert-size-0"),
+    pytest.param((*_CHARLIER, "--size", "-2"), id="invert-size-neg2"),
+    pytest.param(("gen-hermite", "coeffs", "--max-n", "-3"), id="coeffs-max-n-neg3"),
+    pytest.param(("gen-hermite", "check", "--max-n", "-1"), id="check-max-n-neg1"),
+    pytest.param(("gen-hermite", "kernel", "--max-n", "-1"), id="kernel-max-n-neg1"),
+])
+def test_nothing_to_compute_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_gen_hermite_check_at_zero_checks_n_zero(capsys):
+    code, out, _ = run(capsys, "gen-hermite", "check", "--max-n", "0", "--format", "json")
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["reports"]] == [0]

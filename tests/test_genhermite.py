@@ -39,6 +39,11 @@ def test_kernel_at_zero_closed_form():
         assert kernel_at_zero(2 * m + 1) == expected
 
 
+def test_kernel_at_zero_is_the_kernel_evaluated_at_zero():
+    for n in range(21):
+        assert kernel_at_zero(n) == kernel(n)(F(0))
+
+
 def test_q_coefficient_hand_values():
     assert q_coefficient(2, 2) == 1  # K_1(0,0)
     assert q_coefficient(2, 0) == F(1, 4)  # -H_0(0) H_2(0)

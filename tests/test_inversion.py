@@ -254,3 +254,15 @@ def test_unknown_identity_rejected():
     with pytest.raises(ValueError, match="unknown identity"):
         verify_identity("nonsense", size=2)
     assert "nonsense" not in ALL_IDENTITIES
+
+
+def test_hermite_inverse_factors_are_the_papers_form():
+    # the rational closed form must stay i^d H_d(ix), the inverse the paper states
+    from opinv.exact import I
+    from opinv.families import HERMITE, polynomial
+    from opinv.inversion import _hermite_inverse_factors
+
+    factors = _hermite_inverse_factors(17)
+    assert len(factors) == 17
+    for d, factor in enumerate(factors):
+        assert factor == I ** d * polynomial(HERMITE, d)(Poly((0, I)))
