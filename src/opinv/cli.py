@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 from .exact import GaussianRational, format_scalar
 from .families import (
     FAMILIES,
+    CheckFailure,
     ParamError,
     ParamSet,
     polynomial,
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
     except (ParamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

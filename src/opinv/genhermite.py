@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .exact import factorial, pochhammer
-from .families import HERMITE, polynomial
+from .families import HERMITE, CheckFailure, polynomial
 from .inversion import apply_hermite_inverse
 from .poly import BiPoly, Poly
 
@@ -85,8 +85,9 @@ def Q_det_form(n: int) -> Poly:
 
 
 def alpha_even(n: int) -> Fraction:
-    """alpha_{2n}: the eigenvalue-gap sum, asserted equal to the closed
-    form 4 * (5/2)_{n-1} / (n-1)! for n >= 1; alpha_0 = 0."""
+    """alpha_{2n}: the eigenvalue-gap sum, checked equal to the closed
+    form 4 * (5/2)_{n-1} / (n-1)! for n >= 1 (CheckFailure otherwise);
+    alpha_0 = 0."""
     if n < 0:
         raise ValueError("alpha_even requires n >= 0")
     if n == 0:
@@ -94,7 +95,8 @@ def alpha_even(n: int) -> Fraction:
     # lambda_{2j} - lambda_{2j-2} = 4 with lambda_m = 2m
     sum_form = sum((4 * q_coefficient(2 * j, 2 * j) for j in range(1, n + 1)), Fraction(0))
     closed = 4 * Fraction(pochhammer(Fraction(5, 2), n - 1)) / factorial(n - 1)
-    assert sum_form == closed, f"alpha_{2 * n}: sum form {sum_form} != closed form {closed}"
+    if sum_form != closed:
+        raise CheckFailure(f"alpha_{2 * n}: sum form {sum_form} != closed form {closed}")
     return sum_form
 
 
@@ -106,6 +108,8 @@ class GenHermiteConfig:
     odd_alphas: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        if self.max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {self.max_n}")
         needed = (self.max_n + 1) // 2
         if not self.odd_alphas:
             object.__setattr__(self, "odd_alphas", (Fraction(0),) * max(needed, 1))

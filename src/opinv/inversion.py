@@ -48,6 +48,7 @@ from .families import (
     MEIXNER,
     MEIXNER_POLLACZEK,
     EMPTY_PARAMS,
+    CheckFailure,
     ParamError,
     ParamSet,
     PoleError,
@@ -138,7 +139,8 @@ class LowerTriPolyMatrix:
         # forward substitution makes self @ inverse the identity by
         # construction; a one-sided inverse of a square matrix over a
         # commutative ring is two-sided, so one product checks both
-        assert (inverse @ self).is_identity()
+        if not (inverse @ self).is_identity():
+            raise CheckFailure(f"inverse @ matrix is not the identity (size {self.size})")
         return inverse
 
     def to_json(self) -> dict:
@@ -681,6 +683,6 @@ def bavinck_series_replay(alpha: Fraction, i: int, j: int, order: int) -> bool:
         # xt/(t-1) = -x * t * (1-t)^(-1)
         return (t * one_minus_t.invert()).scale(-x).exp()
 
-    left = one_minus_t.pow_scalar(-alpha - j - 1) * exp_xt_over_tm1(Poly.x())
-    right = one_minus_t.pow_scalar(Fraction(alpha + i)) * exp_xt_over_tm1(-Poly.x())
-    return (left * right) == one_minus_t.pow_scalar(Fraction(i - j - 1))
+    left = one_minus_t.pow(-alpha - j - 1) * exp_xt_over_tm1(Poly.x())
+    right = one_minus_t.pow(Fraction(alpha + i)) * exp_xt_over_tm1(-Poly.x())
+    return (left * right) == one_minus_t.pow(Fraction(i - j - 1))

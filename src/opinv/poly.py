@@ -303,7 +303,10 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        return cls(parse_scalar(s) for s in obj["coeffs"])
+        coeffs = obj["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError(f'"coeffs" must be a JSON list, got {coeffs!r}')
+        return cls(parse_scalar(s) for s in coeffs)
 
     def to_latex(self, var: str = "x") -> str:
         if self.is_zero():

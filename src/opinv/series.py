@@ -1,10 +1,10 @@
 """Truncated formal power series in t with Poly-in-x coefficients.
 
 All arithmetic is exact modulo t^(order+1); no guard terms are needed and
-coefficients beyond the truncation order are never consulted.  The
-logarithm and exponential are plain truncated Taylor sums, which keeps the
-whole engine inside one ring: rational-function arguments such as
-x*t/(t-1) are expanded to series before use.
+coefficients beyond the truncation order are never consulted.  exp, log and
+pow are each one O(order^2) recurrence on coefficients, which keeps the
+whole engine inside one ring: rational-function arguments such as x*t/(t-1)
+are expanded to series before use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact import ScalarLike, ensure_scalar, factorial
+from .exact import GaussianRational, ScalarLike
 from .poly import Poly
 
 
@@ -41,10 +41,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls((), order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls((Poly.one(),), order)
 
@@ -58,7 +54,7 @@ class TruncSeries:
             if other.order != self.order:
                 raise ValueError("mixed truncation orders")
             return other
-        if isinstance(other, (Poly, int, Fraction)) or type(other).__name__ == "GaussianRational":
+        if isinstance(other, (Poly, int, Fraction, GaussianRational)):
             return TruncSeries((_as_poly(other),), self.order)
         return None
 
@@ -119,7 +115,7 @@ class TruncSeries:
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term 1."""
-        self._require_const_one("invert")
+        self._require_const("invert", Poly.one())
         n = self.order
         out = [Poly.zero()] * (n + 1)
         out[0] = Poly.one()
@@ -132,45 +128,48 @@ class TruncSeries:
         return TruncSeries(out, n)
 
     def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term."""
-        if not self.coeffs[0].is_zero():
-            raise SeriesDomainError(
-                f"exp requires constant term 0, got {self.coeffs[0]!r}"
-            )
+        """exp of a series g with constant term 0, from E' = g'E (Brent &
+        Kung, J. ACM 1978): m E_m = sum_{k=1}^{m} k g_k E_{m-k}."""
+        self._require_const("exp", Poly.zero())
         n = self.order
-        result = TruncSeries.one(n)
-        power = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            power = power * self
-            result = result + power.scale(Fraction(1, factorial(k)))
-        return result
+        kg = [k * g for k, g in enumerate(self.coeffs)]
+        out = [Poly.one()]
+        for m in range(1, n + 1):
+            acc = sum((kg[k] * out[m - k] for k in range(1, m + 1)), Poly.zero())
+            out.append(Fraction(1, m) * acc)
+        return TruncSeries(out, n)
 
     def log(self) -> "TruncSeries":
-        """log of a series with constant term 1."""
-        self._require_const_one("log")
+        """log of a series s with constant term 1, from s L' = s':
+        m L_m = m s_m - sum_{k=1}^{m-1} k L_k s_{m-k}."""
+        self._require_const("log", Poly.one())
         n = self.order
-        u = self - TruncSeries.one(n)
-        result = TruncSeries.zero(n)
-        power = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            power = power * u
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        s = self.coeffs
+        mL = [Poly.zero()]  # m * L_m
+        for m in range(1, n + 1):
+            mL.append(m * s[m] - sum((mL[k] * s[m - k] for k in range(1, m)), Poly.zero()))
+        return TruncSeries([mL[0]] + [Fraction(1, m) * mL[m] for m in range(1, n + 1)], n)
 
-    def pow_scalar(self, gamma: ScalarLike) -> "TruncSeries":
-        """S^gamma = exp(gamma * log S) for a scalar exponent in Q(i)."""
-        self._require_const_one("pow_scalar")
-        return self.log().scale(ensure_scalar(gamma)).exp()
+    def pow(self, gamma: Union[Poly, ScalarLike]) -> "TruncSeries":
+        """S^gamma for a scalar exponent in Q(i) or a polynomial exponent
+        gamma(x); requires constant term 1.  J. C. P. Miller's recurrence
+        (Knuth, TAOCP Vol. 2, 4.7), m P_m = sum_{k=1}^{m} ((gamma+1) k - m) q_k,
+        as P_m = (gamma+1)/m sum_k k q_k - sum_k q_k with q_k = s_k P_{m-k}."""
+        self._require_const("pow", Poly.one())
+        n = self.order
+        s = self.coeffs
+        gamma_1 = gamma + 1
+        out = [Poly.one()]
+        for m in range(1, n + 1):
+            products = [s[k] * out[m - k] for k in range(1, m + 1)]
+            weighted = sum((k * q for k, q in enumerate(products, 1)), Poly.zero())
+            out.append(gamma_1 * Fraction(1, m) * weighted - sum(products, Poly.zero()))
+        return TruncSeries(out, n)
 
-    def pow_poly(self, e: Poly) -> "TruncSeries":
-        """S^e for a polynomial exponent e(x): exp(e * log S)."""
-        self._require_const_one("pow_poly")
-        return self.log().scale(e).exp()
-
-    def _require_const_one(self, op: str):
-        if self.coeffs[0] != Poly.one():
+    def _require_const(self, op: str, const: Poly):
+        if self.coeffs[0] != const:
             raise SeriesDomainError(
-                f"{op} requires constant term 1, got {self.coeffs[0]!r}"
+                f"{op} requires constant term {const}, got {self.coeffs[0]!r}"
             )
 
     def __repr__(self):

@@ -20,6 +20,7 @@ from typing import Tuple
 from .exact import pochhammer
 from .families import (
     HERMITE,
+    CheckFailure,
     JACOBI,
     LAGUERRE,
     ParamError,
@@ -79,7 +80,7 @@ def solve_generic(sys: DiffSystem) -> CoeffSolution:
             residual = residual - coeffs[i - 1] * p_n.derivative(i)
         coeffs.append((1 / diag.coeff(0)) * residual)
     solution = CoeffSolution(tuple(coeffs), "generic")
-    _assert_satisfies(sys, solution)
+    _check_satisfies(sys, solution)
     return solution
 
 
@@ -110,17 +111,17 @@ def solve_closed_form(sys: DiffSystem) -> CoeffSolution:
                 scale = Fraction(2 ** i) / pochhammer(sys.params.alpha + sys.params.beta + i + 1, i)
             coeffs.append(scale * acc)
     solution = CoeffSolution(tuple(coeffs), "closed_form")
-    _assert_satisfies(sys, solution)
+    _check_satisfies(sys, solution)
     return solution
 
 
-def _assert_satisfies(sys: DiffSystem, solution: CoeffSolution) -> None:
-    """Back-substitution: sum_{i<=n} a_i D^i p_n must equal F_n for every n."""
+def _check_satisfies(sys: DiffSystem, solution: CoeffSolution) -> None:
+    """Back-substitution: sum_{i<=n} a_i D^i p_n must equal F_n for every n
+    (CheckFailure otherwise)."""
     for n in range(1, len(sys.rhs) + 1):
         p_n = polynomial(sys.family, n, sys.params)
         acc = Poly.zero()
         for i in range(1, n + 1):
             acc = acc + solution.coeffs[i - 1] * p_n.derivative(i)
-        assert acc == sys.rhs[n - 1], (
-            f"solution does not satisfy row n={n} ({solution.method})"
-        )
+        if acc != sys.rhs[n - 1]:
+            raise CheckFailure(f"solution does not satisfy row n={n} ({solution.method})")

@@ -183,7 +183,9 @@ def test_criterion_5_kernel_and_eigenvalue_closed_forms():
     for n in range(21):
         if kernel_at_zero(2 * n) != pochhammer(F(3, 2), n) / math.factorial(n):
             ok = False
-        alpha_even(n)  # asserts sum form == 4*(5/2)_{n-1}/(n-1)! internally
+        closed = 4 * pochhammer(F(5, 2), n - 1) / math.factorial(n - 1) if n else 0
+        if alpha_even(n) != closed:  # the returned sum form
+            ok = False
     ok = ok and alpha_even(1) == 4 and alpha_even(2) == 10
     _report(5, "kernel-eigenvalue-closed-forms", ok)
 

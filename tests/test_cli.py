@@ -226,7 +226,10 @@ def test_hermite_solve_accepts_gaussian_rhs_under_optimize():
     assert json.loads(done.stdout)["equal"] is True
 
 
-@pytest.mark.parametrize("rhs", ["[{}]", '{"a":1}', '[{"coeffs":["1/0"]}]', "[{", "[5]"])
+@pytest.mark.parametrize("rhs", [
+    "[{}]", '{"a":1}', '[{"coeffs":["1/0"]}]', "[{", "[5]",
+    '[{"coeffs":"12"}]', '[{"coeffs":{"3":1}}]',
+])
 def test_malformed_rhs_is_usage_error(capsys, rhs):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "solve", "--family", "hermite", "--rhs", rhs)
@@ -237,6 +240,16 @@ def test_malformed_rhs_is_usage_error(capsys, rhs):
 
 
 _CHARLIER = ("invert", "--identity", "charlier_inv", "--a", "1")
+
+
+def test_failed_check_is_exit_1_with_one_line(capsys, monkeypatch):
+    from opinv.inversion import LowerTriPolyMatrix
+
+    monkeypatch.setattr(LowerTriPolyMatrix, "is_identity", lambda self: False)
+    code, out, err = run(capsys, *_CHARLIER, "--size", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: inverse @ matrix is not the identity (size 3)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,9 +81,10 @@ def test_alpha_values():
 
 
 def test_alpha_sum_equals_closed_form_high_orders():
-    # alpha_even asserts the identity internally; exercise it far out
-    for n in range(21):
-        alpha_even(n)
+    # alpha_even returns the sum form; compare it with the closed form far out
+    assert alpha_even(0) == 0
+    for n in range(1, 21):
+        assert alpha_even(n) == 4 * pochhammer(F(5, 2), n - 1) / math.factorial(n - 1)
 
 
 def test_rhs_hand_values():
@@ -125,6 +126,8 @@ def test_verify_de_random_odd_alphas():
 def test_config_validation():
     with pytest.raises(ValueError, match="need at least"):
         GenHermiteConfig(8, (F(1),))
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        GenHermiteConfig(max_n=-3)
     with pytest.raises(ValueError, match="exceeds"):
         verify_de(5, GenHermiteConfig(4))
 

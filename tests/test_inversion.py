@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +27,31 @@ from opinv.poly import Poly
 def test_identity_matrix_inverts_to_itself():
     eye = LowerTriPolyMatrix.identity(5)
     assert eye.invert() == eye
+
+
+_COUNT_INVERT_PRODUCTS = """
+from fractions import Fraction
+from opinv.families import ParamSet
+from opinv.inversion import LowerTriPolyMatrix, build_matrix
+
+calls = []
+matmul = LowerTriPolyMatrix.__matmul__
+LowerTriPolyMatrix.__matmul__ = lambda a, b: calls.append(1) or matmul(a, b)
+build_matrix("laguerre_inv", 5, ParamSet(alpha=Fraction(1, 3))).invert()
+print(len(calls))
+"""
+
+
+def test_invert_checks_its_product_under_optimize():
+    # python -O strips assert statements; the inverse @ matrix check is not one
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _COUNT_INVERT_PRODUCTS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
 
 
 def test_invert_rejects_polynomial_diagonal():
