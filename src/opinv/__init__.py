@@ -12,13 +12,12 @@ from .inversion import (
     closed_form_inverse_entry,
     verify_identity,
 )
-from .poly import BiPoly, Poly
+from .poly import Poly
 from .series import TruncSeries
 from .trisolve import CoeffSolution, DiffSystem, solve_closed_form, solve_generic
 
 __all__ = [
     "ALL_IDENTITIES",
-    "BiPoly",
     "CoeffSolution",
     "DiffSystem",
     "FAMILIES",

@@ -281,6 +281,8 @@ def _cmd_gen_hermite(args) -> int:
         )
         _emit(obj, text, args.format)
         return 0
+    if args.action == "coeffs" and args.max_n < 1:
+        raise ValueError("gen-hermite coeffs computes a_1 .. a_max_n: --max-n must be at least 1")
     model = build_model(config)
     if args.action == "coeffs":
         obj = {

@@ -20,9 +20,7 @@ from typing import Dict, Tuple
 from .exact import factorial, pochhammer
 from .families import HERMITE, CheckFailure, polynomial
 from .inversion import apply_hermite_inverse
-from .poly import BiPoly, Poly
-
-_HALF = Fraction(1, 2)
+from .poly import Poly
 
 
 def hermite(n: int) -> Poly:
@@ -170,7 +168,6 @@ class GenHermiteModel:
     config: GenHermiteConfig
     Q_polys: Tuple[Poly, ...]  # Q_0 .. Q_max_n
     alphas: Tuple[Fraction, ...]  # alpha_0 .. alpha_max_n
-    F_polys: Tuple[Poly, ...]  # F_1 .. F_max_n
     a_coeffs: Tuple[Poly, ...]  # a_1 .. a_max_n
 
 
@@ -179,15 +176,18 @@ def build_model(config: GenHermiteConfig) -> GenHermiteModel:
         config=config,
         Q_polys=tuple(Q_poly(n) for n in range(config.max_n + 1)),
         alphas=tuple(alpha(n, config) for n in range(config.max_n + 1)),
-        F_polys=tuple(rhs_F(n, config) for n in range(1, config.max_n + 1)),
         a_coeffs=de_coefficients(config),
     )
 
 
 def verify_de(n: int, config: GenHermiteConfig, model: GenHermiteModel = None) -> dict:
     """Expand  M sum_k a_k y^(k) + y'' - 2x y' + (2n + M alpha_n) y  with
-    y = H_n + M Q_n as a polynomial in the formal variable M and report the
-    M^0, M^1, M^2 coefficients (each must vanish identically).
+    y = H_n + M Q_n in the formal variable M and report the coefficients
+    (each must vanish identically):
+
+        M^0: H'' - 2x H' + 2n H
+        M^1: Q'' - 2x Q' + 2n Q + alpha_n H + sum_k a_k H^(k)
+        M^2: alpha_n Q + sum_k a_k Q^(k)
 
     Only a_k with k <= n contribute: D^k annihilates degree-n polynomials
     beyond that.
@@ -196,16 +196,20 @@ def verify_de(n: int, config: GenHermiteConfig, model: GenHermiteModel = None) -
         model = build_model(config)
     if n > config.max_n:
         raise ValueError(f"n={n} exceeds max_n={config.max_n}")
-    M = BiPoly.aux(var="M")
-    y = BiPoly((hermite(n), model.Q_polys[n]), var="M")
-    lhs = (
-        y.derivative_x(2)
-        - BiPoly.from_x_poly(Poly((0, 2)), var="M") * y.derivative_x(1)
-        + (2 * n + M * model.alphas[n]) * y
-    )
-    for k in range(1, n + 1):
-        lhs = lhs + M * BiPoly.from_x_poly(model.a_coeffs[k - 1], var="M") * y.derivative_x(k)
-    residuals = {f"M^{d}": lhs.coeff(d) for d in range(3)}
+    h, q = hermite(n), model.Q_polys[n]
+
+    def hermite_operator(p: Poly) -> Poly:  # p'' - 2x p' + 2n p
+        return p.derivative(2) - Poly((0, 2)) * p.derivative() + 2 * n * p
+
+    def mass_terms(p: Poly) -> Poly:  # alpha_n p + sum_k a_k p^(k)
+        terms = (a * p.derivative(k) for k, a in enumerate(model.a_coeffs[:n], start=1))
+        return sum(terms, model.alphas[n] * p)
+
+    residuals = {
+        "M^0": hermite_operator(h),
+        "M^1": hermite_operator(q) + mass_terms(h),
+        "M^2": mass_terms(q),
+    }
     status = "pass" if all(p.is_zero() for p in residuals.values()) else "fail"
     return {
         "n": n,

@@ -54,9 +54,8 @@ from .families import (
     PoleError,
     polynomial,
 )
-from .poly import BiPoly, Poly
+from .poly import Poly
 
-_HALF = Fraction(1, 2)
 _NEG_X = Poly((0, -1))
 
 
@@ -212,6 +211,16 @@ def _check_identity_tag(identity: str):
         )
 
 
+def _check_params(identity: str, params: ParamSet):
+    """ParamError unless params sets exactly the parameters identity takes."""
+    expected = IDENTITY_PARAMS[identity]
+    given = [name for name, value in vars(params).items() if value is not None]
+    if set(given) != set(expected):
+        raise ParamError(
+            f"{identity} takes parameters ({', '.join(expected)}), got ({', '.join(given)})"
+        )
+
+
 # -- base (right-factor) matrices -------------------------------------------
 
 def _matrix_entry(identity: str, i: int, j: int, params: ParamSet) -> Poly:
@@ -265,6 +274,7 @@ def build_matrix(identity: str, size: int, params: ParamSet = EMPTY_PARAMS) -> L
     _check_identity_tag(identity)
     if identity not in MATRIX_IDENTITIES:
         raise ValueError(f"{identity!r} is a convolution identity, not a matrix one")
+    _check_params(identity, params)
     return LowerTriPolyMatrix.from_entry_fn(
         size, lambda i, j: _matrix_entry(identity, i, j, params)
     )
@@ -416,30 +426,31 @@ def _convolution_residual(identity: str, n: int) -> Poly:
 
 
 def jacobi_two_var_sides(n: int, alpha: Fraction, beta: Fraction):
-    """Both sides of the two-variable Jacobi identity as BiPoly in (x, y):
+    """Both sides of the two-variable Jacobi identity
 
         sum_k (a+b+2k+1)/(a+b+k+1)_{n+1} P_k^(a,b)(x) P_{n-k}^(-n-a-1,-n-b-1)(y)
             = (1/n!) ((x-y)/2)^n
+
+    as tuples of n+1 Poly in x, entry m being the coefficient of y^m.
     """
     s = alpha + beta
-    lhs = BiPoly((), var="y")
+    lhs = [Poly.zero()] * (n + 1)
     for k in range(n + 1):
         den = pochhammer(s + k + 1, n + 1)
         if den == 0:
             raise PoleError(f"jacobi_two_var pole at k={k}, n={n}")
-        factor = (s + 2 * k + 1) / den
-        px = polynomial(JACOBI, k, ParamSet(alpha=alpha, beta=beta))
+        px = ((s + 2 * k + 1) / den) * polynomial(JACOBI, k, ParamSet(alpha=alpha, beta=beta))
         py = polynomial(
             JACOBI, n - k, ParamSet(alpha=-alpha - n - 1, beta=-beta - n - 1)
         )
-        lhs = lhs + factor * (
-            BiPoly.from_x_poly(px) * BiPoly.from_aux_poly(py, var="y")
-        )
-    half_diff = BiPoly.from_x_poly(Poly((0, _HALF))) - BiPoly(
-        (Poly.zero(), Poly.const(_HALF)), var="y"
+        for m, c in enumerate(py.coeffs):
+            lhs[m] = lhs[m] + c * px
+    # binomial expansion: y^m has coefficient (x/2)^(n-m) (-1/2)^m / (m! (n-m)!)
+    rhs = tuple(
+        Poly((0,) * (n - m) + (Fraction((-1) ** m, 2 ** n * factorial(m) * factorial(n - m)),))
+        for m in range(n + 1)
     )
-    rhs = Fraction(1, factorial(n)) * half_diff ** n
-    return lhs, rhs
+    return tuple(lhs), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +481,7 @@ def _sample_matrices(identity: str, size: int, params: ParamSet):
     params hit a pole."""
     if identity in MATRIX_IDENTITIES:
         return build_matrix(identity, size, params), closed_form_inverse(identity, size, params)
+    _check_params(identity, params)
     if identity == "jacobi_two_var":
         # the factors (s+k+1)_{n+1}, k <= n <= size, run over s+1 .. s+2*size+1
         if pochhammer(params.alpha + params.beta + 1, 2 * size + 1) == 0:
@@ -639,8 +651,8 @@ def _counterexample(identity: str, size: int, params: ParamSet, base, closed):
     for n in range(size + 1):
         if identity == "jacobi_two_var":
             lhs, rhs = jacobi_two_var_sides(n, params.alpha, params.beta)
-            diff = lhs - rhs
-            residual = max(diff.coeffs, key=lambda p: p.degree, default=Poly.zero())
+            # the first y^m coefficient of lhs - rhs of highest x-degree
+            residual = max((l - r for l, r in zip(lhs, rhs)), key=lambda p: p.degree)
         else:
             residual = _convolution_residual(identity, n)
         if not residual.is_zero():

@@ -1,5 +1,4 @@
-"""Dense univariate polynomials over Q and Q(i), plus bivariate polynomials
-in one auxiliary variable (y or M) with Poly coefficients.
+"""Dense univariate polynomials over Q and Q(i).
 
 A Poly is stored fraction-free, as FLINT's ``fmpq_poly`` is: a tuple of
 integer numerators for the real part, a second tuple for the imaginary part
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .exact import (
     GaussianRational,
@@ -410,133 +409,3 @@ def _frac_latex(f: Fraction) -> str:
         return str(f.numerator)
     sign = "-" if f < 0 else ""
     return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
-class BiPoly:
-    """Polynomial in an auxiliary variable v (named "y" or "M") whose
-    coefficients are Poly in x.  Evaluation at a scalar or Poly value of v
-    collapses to Poly and commutes with the ring operations.
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, coeffs: Sequence[Union[Poly, ScalarLike]] = (), var: str = "y"):
-        polys = [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
-        while polys and polys[-1].is_zero():
-            polys.pop()
-        object.__setattr__(self, "coeffs", tuple(polys))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def from_x_poly(cls, p: Poly, var: str = "y") -> "BiPoly":
-        """Embed a Poly in x as a BiPoly of v-degree 0."""
-        return cls((p,), var=var)
-
-    @classmethod
-    def from_aux_poly(cls, p: Poly, var: str = "y") -> "BiPoly":
-        """Reinterpret a scalar-coefficient Poly as a polynomial in v."""
-        return cls(tuple(Poly.const(c) for c in p.coeffs), var=var)
-
-    @classmethod
-    def aux(cls, var: str = "y") -> "BiPoly":
-        return cls((Poly.zero(), Poly.one()), var=var)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Poly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Poly.zero()
-
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            if other.coeffs and self.coeffs and other.var != self.var:
-                raise ValueError(f"mixed auxiliary variables {self.var!r}/{other.var!r}")
-            return other
-        if isinstance(other, Poly):
-            return BiPoly((other,), var=self.var)
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "GaussianRational":
-            return BiPoly((Poly.const(other),), var=self.var)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, p in enumerate(b):
-            out[k] = out[k] + p
-        return BiPoly(out, var=self.var or o.var)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return BiPoly([-p for p in self.coeffs], var=self.var)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return BiPoly((), var=self.var)
-        out = [Poly.zero()] * (len(a) + len(b) - 1)
-        for i, pa in enumerate(a):
-            for j, pb in enumerate(b):
-                out[i + j] = out[i + j] + pa * pb
-        return BiPoly(out, var=self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("BiPoly power requires a nonnegative integer")
-        return binary_power(self, n, BiPoly((Poly.one(),), var=self.var))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def eval_aux(self, v0) -> Poly:
-        """Substitute v = v0 (scalar or Poly in x), collapsing to a Poly."""
-        if not isinstance(v0, Poly):
-            v0 = Poly.const(v0)
-        acc = Poly.zero()
-        for p in reversed(self.coeffs):
-            acc = acc * v0 + p
-        return acc
-
-    def derivative_x(self, order: int = 1) -> "BiPoly":
-        return BiPoly([p.derivative(order) for p in self.coeffs], var=self.var)
-
-    def to_json(self) -> dict:
-        return {"var": self.var, "coeffs": [p.to_json() for p in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BiPoly":
-        return cls([Poly.from_json(p) for p in obj["coeffs"]], var=obj["var"])
-
-    def __repr__(self):
-        return f"BiPoly({self.var!r}, {list(self.coeffs)!r})"

@@ -79,9 +79,9 @@ def solve_generic(sys: DiffSystem) -> CoeffSolution:
         for i in range(1, n):
             residual = residual - coeffs[i - 1] * p_n.derivative(i)
         coeffs.append((1 / diag.coeff(0)) * residual)
-    solution = CoeffSolution(tuple(coeffs), "generic")
-    _check_satisfies(sys, solution)
-    return solution
+    # row n is solved for a_n exactly, so summing it again would repeat the
+    # same arithmetic; the closed form back-substitutes its own result
+    return CoeffSolution(tuple(coeffs), "generic")
 
 
 def solve_closed_form(sys: DiffSystem) -> CoeffSolution:

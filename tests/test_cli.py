@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,8 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opinv.cli import main
+from opinv.families import FAMILIES, REQUIRED_PARAMS
+from opinv.inversion import ALL_IDENTITIES, IDENTITY_PARAMS, MATRIX_IDENTITIES
+from opinv.trisolve import SOLVABLE_FAMILIES
 
 
 def run(capsys, *argv):
@@ -270,3 +276,99 @@ def test_gen_hermite_check_at_zero_checks_n_zero(capsys):
     code, out, _ = run(capsys, "gen-hermite", "check", "--max-n", "0", "--format", "json")
     assert code == 0
     assert [r["n"] for r in json.loads(out)["reports"]] == [0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("invert", "--identity", "laguerre_inv", "--size", "3"),
+                 "laguerre_inv takes parameters (alpha), got ()", id="laguerre_inv-no-alpha"),
+    pytest.param(("invert", "--identity", "jacobi_inv", "--alpha", "1/2"),
+                 "jacobi_inv takes parameters (alpha, beta), got (alpha)", id="jacobi_inv-no-beta"),
+    pytest.param(("invert", "--identity", "jacobi_from_meixner", "--beta", "1/2"),
+                 "jacobi_from_meixner takes parameters (alpha, beta), got (beta)",
+                 id="jacobi_from_meixner-no-alpha"),
+    pytest.param(("invert", "--identity", "jacobi_from_ultra"),
+                 "jacobi_from_ultra takes parameters (alpha), got ()", id="jacobi_from_ultra-no-alpha"),
+    pytest.param(("invert", "--identity", "chebT_inverse", "--alpha", "1"),
+                 "chebT_inverse takes parameters (), got (alpha)", id="chebT_inverse-extra-alpha"),
+    pytest.param(("gen-hermite", "coeffs", "--max-n", "0"),
+                 "--max-n must be at least 1", id="coeffs-max-n-0"),
+])
+def test_input_outside_the_contract_is_one_line_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# -- every generated argv ends in exit 0, 1 or 2 without a traceback ----------
+
+_FLAGS = {"alpha": "--alpha", "beta": "--beta", "lam": "--lambda", "a": "--a",
+          "c": "--c", "beta_m": "--beta-m", "phase": "--phase"}
+_GOOD_VALUES = {name: st.sampled_from(["1/2", "-1/3", "5/2", "2/7"]) for name in _FLAGS}
+_GOOD_VALUES["phase"] = st.sampled_from(["3/5,4/5", "-3/5,4/5", "5/13,-12/13"])
+_ANY_VALUES = {name: st.sampled_from(["0", "-1", "-2", "1/0", "x", "1,1", "0,1"]) | good
+               for name, good in _GOOD_VALUES.items()}
+_SMALL = st.integers(-1, 5).map(str)
+_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "latex"]])
+_RHS = st.sampled_from([
+    '[{"var":"x","coeffs":["0","1"]}]',
+    '[{"var":"x","coeffs":["1/2+1*i"]},{"var":"x","coeffs":["0","-2/3*i","1"]}]',
+    '[{"coeffs":["1"]},{"coeffs":[]},{"coeffs":["2","0","-1/3"]},{"coeffs":["1/5"]},'
+    '{"coeffs":["0","1"]}]',
+]) | st.sampled_from(["[]", "[{}]", '[{"coeffs":"12"}]', "[5]", "{"])
+
+
+def _param_flags(names):
+    """The parameters names calls for with valid values, or any parameters
+    with any values."""
+    exact = st.tuples(*[_GOOD_VALUES[name] for name in names]).map(
+        lambda values: [arg for name, value in zip(names, values)
+                        for arg in (_FLAGS[name], value)])
+    chosen = st.lists(st.sampled_from(sorted(_FLAGS)), unique=True).flatmap(
+        lambda picked: st.tuples(*[_ANY_VALUES[name] for name in picked]).map(
+            lambda values: [arg for name, value in zip(picked, values)
+                            for arg in (_FLAGS[name], value)]))
+    return exact | chosen
+
+
+_EVAL = st.sampled_from(FAMILIES).flatmap(lambda family: st.tuples(
+    st.just(["eval", "--family", family, "--n"]), st.tuples(_SMALL),
+    _param_flags(REQUIRED_PARAMS[family]), _FORMAT))
+_VERIFY = st.tuples(
+    st.sampled_from(ALL_IDENTITIES).map(lambda identity: ["verify", "--identity", identity]),
+    st.tuples(st.just("--size"), _SMALL, st.just("--samples"), st.integers(0, 2).map(str)),
+    st.sampled_from([[], ["--pit"], ["--seed", "3"]]), _FORMAT)
+_INVERT = st.sampled_from(MATRIX_IDENTITIES).flatmap(lambda identity: st.tuples(
+    st.just(["invert", "--identity", identity, "--size"]), st.tuples(_SMALL),
+    _param_flags(IDENTITY_PARAMS[identity]), _FORMAT))
+_SOLVE = st.sampled_from(SOLVABLE_FAMILIES).flatmap(lambda family: st.tuples(
+    st.just(["solve", "--family", family, "--rhs"]), st.tuples(_RHS),
+    _param_flags(REQUIRED_PARAMS[family]), _FORMAT))
+_GEN_HERMITE = st.tuples(
+    st.sampled_from(["coeffs", "check", "kernel"]).map(lambda action: ["gen-hermite", action]),
+    st.tuples(st.just("--max-n"), _SMALL),
+    st.sampled_from([[], ["--odd-alphas", "1/2,-1/3,2"], ["--odd-alphas", "0"],
+                     ["--odd-alphas", "1,x"]]),
+    _FORMAT)
+_SUITE = st.tuples(
+    st.just(["suite", "--samples", "1", "--size"]), st.tuples(st.integers(1, 3).map(str)),
+    st.sampled_from([[], ["--seed", "3"]]), _FORMAT)
+_ARGVS = st.one_of(_EVAL, _VERIFY, _INVERT, _SOLVE, _GEN_HERMITE, _SUITE).map(
+    lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGVS)
+def test_every_argv_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert out.getvalue().strip(), argv

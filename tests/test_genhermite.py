@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -121,6 +122,33 @@ def test_verify_de_random_odd_alphas():
         model = build_model(cfg)
         for n in range(1, 7):
             assert verify_de(n, cfg, model)["status"] == "pass", (odd, n)
+
+
+def _json_poly(*coeffs):
+    return {"var": "x", "coeffs": list(coeffs)}
+
+
+def test_verify_de_reports_residuals_of_a_perturbed_model():
+    # a_1 + (1/3 + x) and alpha_3 + 1/2: every M-coefficient is pinned
+    cfg = GenHermiteConfig(4, (F(1, 2), F(-1, 3)))
+    model = build_model(cfg)
+    a = (model.a_coeffs[0] + Poly((F(1, 3), 1)),) + model.a_coeffs[1:]
+    alphas = model.alphas[:3] + (model.alphas[3] + F(1, 2),) + model.alphas[4:]
+    bad = dataclasses.replace(model, a_coeffs=a, alphas=alphas)
+    zero = _json_poly()
+    expected = {
+        0: {"M^0": zero, "M^1": zero, "M^2": zero},
+        1: {"M^0": zero, "M^1": _json_poly("1/3", "1"), "M^2": _json_poly("1/3", "1")},
+        2: {"M^0": zero, "M^1": _json_poly("0", "1/3", "1"),
+            "M^2": _json_poly("0", "1/3", "1")},
+        3: {"M^0": zero, "M^1": _json_poly("-1/12", "-3/8", "1/6", "7/12"),
+            "M^2": _json_poly("-1/8", "-9/16", "1/4", "7/8")},
+        4: {"M^0": zero, "M^1": _json_poly("0", "-1/12", "-1/4", "1/18", "1/6"),
+            "M^2": _json_poly("0", "-5/48", "-5/16", "1/12", "1/4")},
+    }
+    for n, residuals in expected.items():
+        status = "pass" if n == 0 else "fail"
+        assert verify_de(n, cfg, bad) == {"n": n, "status": status, "residuals": residuals}
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from opinv.exact import format_scalar
-from opinv.families import ParamSet, PoleError
+from opinv.families import ParamError, ParamSet, PoleError
 from opinv.inversion import (
     ALL_IDENTITIES,
     CONVOLUTION_IDENTITIES,
@@ -146,8 +146,11 @@ def test_two_var_jacobi_spec_example():
     lhs, rhs = jacobi_two_var_sides(1, F(1, 3), F(-1, 4))
     assert lhs == rhs
     # (x - y)/2
-    assert rhs.coeff(0) == Poly((0, F(1, 2)))
-    assert rhs.coeff(1) == Poly.const(F(-1, 2))
+    assert rhs == (Poly((0, F(1, 2))), Poly.const(F(-1, 2)))
+    # (1/2) ((x - y)/2)^2 = x^2/8 - (x/4) y + (1/8) y^2
+    lhs, rhs = jacobi_two_var_sides(2, F(1, 3), F(-1, 4))
+    assert lhs == rhs
+    assert rhs == (Poly((0, 0, F(1, 8))), Poly((0, F(-1, 4))), Poly.const(F(1, 8)))
 
 
 def test_two_var_y_equals_minus_x_with_symmetric_params():
@@ -156,7 +159,10 @@ def test_two_var_y_equals_minus_x_with_symmetric_params():
 
     for n in range(5):
         lhs, _ = jacobi_two_var_sides(n, F(1, 3), F(1, 3))
-        collapsed = lhs.eval_aux(Poly((0, -1)))
+        assert len(lhs) == n + 1
+        collapsed = Poly.zero()
+        for coeff in reversed(lhs):  # Horner in y at y = -x
+            collapsed = collapsed * Poly((0, -1)) + coeff
         assert collapsed == F(1, math.factorial(n)) * Poly.x() ** n
 
 
@@ -188,6 +194,41 @@ def test_two_var_y_equals_x_reproduces_jacobi_inv_left_factors():
                 )
                 term_matrix = closed.entry(i, k + j) * base.entry(k + j, j)
                 assert scale * term_two_var == term_matrix, (i, j, k)
+
+
+_TWO_VAR_PARAMS = ParamSet(alpha=F(1, 3), beta=F(-1, 4))
+
+
+@pytest.mark.parametrize("shifts, n, residual", [
+    # (degree, alpha) of a perturbed Jacobi member -> the polynomial added
+    # to it; alpha 1/3 is an x-side member P_k^(a,b), alpha -a-n-1 a y-side
+    # member P_{n-k}^(-n-a-1,-n-b-1).  Ties between y^m coefficients go to
+    # the lowest m.
+    pytest.param({(1, F(1, 3)): Poly((0, 0, 1))}, 1, ["0", "0", "12/25"], id="x-side-P1"),
+    pytest.param({(2, F(1, 3)): Poly.one()}, 2, ["144/1813"], id="x-side-P2"),
+    pytest.param({(1, F(-7, 3)): Poly((1, 3))}, 1, ["12/25"], id="y-side-P1-tie"),
+    pytest.param({(2, F(-10, 3)): Poly((F(-1, 2), 1))}, 2, ["-72/925"], id="y-side-P2"),
+    pytest.param({(2, F(-10, 3)): Poly.one(), (1, F(-10, 3)): Poly.x()}, 2,
+                 ["6/175", "6/49"], id="y-side-higher-degree-wins"),
+])
+def test_two_var_counterexample_is_first_highest_degree_residual(
+    monkeypatch, shifts, n, residual
+):
+    from opinv import inversion
+
+    real = inversion.polynomial
+
+    def perturbed(family, m, params):
+        return real(family, m, params) + shifts.get((m, params.alpha), Poly.zero())
+
+    monkeypatch.setattr(inversion, "polynomial", perturbed)
+    report = verify_identity("jacobi_two_var", 6, param_samples=[_TWO_VAR_PARAMS])
+    assert report.status == "fail"
+    assert report.counterexample == {
+        "n": n,
+        "params": {"alpha": "1/3", "beta": "-1/4"},
+        "residual": {"var": "x", "coeffs": residual},
+    }
 
 
 def test_bavinck_derivation_replay():
@@ -266,6 +307,17 @@ def test_given_samples_with_pole_raise():
         verify_identity(
             "jacobi_inv", size=4, param_samples=[ParamSet(alpha=F(-1), beta=F(-1))]
         )
+
+
+def test_given_samples_must_set_exactly_the_identity_parameters():
+    for identity, params in (
+        ("laguerre_inv", ParamSet(beta=F(1, 2))),
+        ("chebT_inverse", ParamSet(alpha=F(1))),
+        ("jacobi_two_var", ParamSet(alpha=F(1, 2))),
+        ("hermite_conv", ParamSet(alpha=F(1, 2))),
+    ):
+        with pytest.raises(ParamError, match=f"{identity} takes parameters"):
+            verify_identity(identity, 3, param_samples=[params])
 
 
 def test_sampling_is_deterministic():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from opinv.exact import GaussianRational, format_scalar, pochhammer
 from opinv.families import LAGUERRE, ParamSet, _polynomial_cached, polynomial
-from opinv.poly import BiPoly, Poly
+from opinv.poly import Poly
 
 polys = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=20), max_size=11
@@ -57,35 +57,9 @@ def test_composition():
     assert Poly.x()(Poly((1, 2))) == Poly((1, 2))
 
 
-def test_bipoly_square_of_half_difference():
-    # ((x - y)/2)^2 = x^2/4 - (x/2) y + (1/4) y^2
-    half_diff = BiPoly((Poly((0, F(1, 2))), Poly.const(F(-1, 2))), var="y")
-    sq = half_diff ** 2
-    assert sq.coeffs == (
-        Poly((0, 0, F(1, 4))),
-        Poly((0, F(-1, 2))),
-        Poly.const(F(1, 4)),
-    )
-
-
-@given(polys, polys, st.fractions(min_value=-3, max_value=3, max_denominator=10))
-def test_bipoly_eval_commutes_with_mul(p, q, y0):
-    a = BiPoly((p, q), var="y")
-    b = BiPoly((q, p, Poly.one()), var="y")
-    assert (a * b).eval_aux(y0) == a.eval_aux(y0) * b.eval_aux(y0)
-
-
-def test_bipoly_eval_at_poly():
-    # (x + y)^2 at y = x gives 4x^2
-    s = BiPoly((Poly.x(), Poly.one()), var="y") ** 2
-    assert s.eval_aux(Poly.x()) == Poly((0, 0, 4))
-
-
 def test_json_roundtrip():
     p = Poly((F(1, 2), 0, F(-3, 7)))
     assert Poly.from_json(p.to_json()) == p
-    b = BiPoly((p, Poly.x()), var="M")
-    assert BiPoly.from_json(b.to_json()) == b
 
 
 def test_latex():
@@ -299,11 +273,10 @@ def test_power_uses_no_unused_squarings(monkeypatch):
         assert len(calls) == expected, n
 
 
-def test_bipoly_and_gaussian_powers_match_repeated_products():
-    b = BiPoly((Poly((1, F(1, 2))), Poly.const(F(-1, 3))), var="y")
+def test_gaussian_powers_match_repeated_products():
     g = GaussianRational(F(1, 2), F(-2, 3))
-    b_acc, g_acc = BiPoly((Poly.one(),), var="y"), GaussianRational(1)
+    g_acc = GaussianRational(1)
     for n in range(17):
-        assert b ** n == b_acc and g ** n == g_acc, n
-        b_acc, g_acc = b_acc * b, g_acc * g
+        assert g ** n == g_acc, n
+        g_acc = g_acc * g
     assert g ** -3 == GaussianRational(1) / (g * g * g)

@@ -49,7 +49,7 @@ def test_laguerre_hand_example():
 
 @pytest.mark.parametrize("family", SOLVABLE_FAMILIES)
 def test_closed_form_matches_generic(family):
-    rng = random.Random(hash(family) & 0xFFFF)
+    rng = random.Random(family)  # a str seed is hashed by sha512, the same in every process
     for trial in range(4):
         sys = DiffSystem(family, default_params(family), random_rhs(rng, 6, 4))
         generic = solve_generic(sys)
@@ -114,3 +114,15 @@ def test_closed_form_rejects_pole_parameters():
     sys = DiffSystem(JACOBI, ParamSet(alpha=F(-1), beta=F(-1)), (Poly.one(),))
     with pytest.raises(ParamError, match="pole"):
         solve_closed_form(sys)
+
+
+def test_only_the_closed_form_back_substitutes(monkeypatch):
+    # forward substitution solves row n for a_n, so summing the row again
+    # would repeat its arithmetic; the closed form keeps its own check
+    from opinv import trisolve
+
+    checked = []
+    monkeypatch.setattr(trisolve, "_check_satisfies", lambda sys, sol: checked.append(sol.method))
+    sys = DiffSystem(JACOBI, default_params(JACOBI), random_rhs(random.Random(5), 4, 3))
+    assert solve_generic(sys).coeffs == solve_closed_form(sys).coeffs
+    assert checked == ["closed_form"]
