@@ -12,7 +12,6 @@ LaTeX with --format latex where it makes sense.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -22,6 +21,7 @@ from typing import Optional, Tuple
 from .exact import GaussianRational, format_scalar
 from .families import (
     FAMILIES,
+    REQUIRED_PARAMS,
     CheckFailure,
     ParamError,
     ParamSet,
@@ -36,6 +36,7 @@ from .genhermite import (
 )
 from .inversion import (
     ALL_IDENTITIES,
+    IDENTITY_PARAMS,
     MATRIX_IDENTITIES,
     build_matrix,
     verify_identity,
@@ -94,10 +95,19 @@ def _rhs(text: str) -> Tuple[Poly, ...]:
         raise argparse.ArgumentTypeError(f"not a JSON list of polynomials: {text!r}") from exc
 
 
+#: the flag and value type of each ParamSet field, in field order
+_PARAM_FLAGS = {
+    "alpha": ("--alpha", _fraction),
+    "beta": ("--beta", _fraction),
+    "lam": ("--lambda", _fraction),
+    "a": ("--a", _fraction),
+    "c": ("--c", _fraction),
+    "beta_m": ("--beta-m", _fraction),
+    "phase": ("--phase", _phase),
+}
+
 #: options whose values may be negative rationals ("-1/3", "-3/5,4/5")
-_RATIONAL_OPTIONS = frozenset(
-    ("--alpha", "--beta", "--lambda", "--a", "--c", "--beta-m", "--phase", "--odd-alphas")
-)
+_RATIONAL_OPTIONS = frozenset([flag for flag, _ in _PARAM_FLAGS.values()] + ["--odd-alphas"])
 
 
 def _attach_negative_values(argv):
@@ -123,17 +133,25 @@ def _attach_negative_values(argv):
 
 
 def _add_param_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--alpha", type=_fraction, default=None)
-    parser.add_argument("--beta", type=_fraction, default=None)
-    parser.add_argument("--lambda", dest="lam", type=_fraction, default=None)
-    parser.add_argument("--a", type=_fraction, default=None)
-    parser.add_argument("--c", type=_fraction, default=None)
-    parser.add_argument("--beta-m", dest="beta_m", type=_fraction, default=None)
-    parser.add_argument("--phase", type=_phase, default=None)
+    for name, (flag, kind) in _PARAM_FLAGS.items():
+        parser.add_argument(flag, dest=name, type=kind, default=None)
+
+
+def _flags(names) -> str:
+    return ", ".join(_PARAM_FLAGS[name][0] for name in names)
 
 
 def _params_from_args(args) -> ParamSet:
-    return ParamSet(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ParamSet)})
+    """The ParamSet the flags give; ParamError, naming the flags, unless they
+    set exactly the parameters the command's family or identity takes."""
+    if args.command == "invert":
+        target, takes = args.identity, IDENTITY_PARAMS[args.identity]
+    else:
+        target, takes = args.family, REQUIRED_PARAMS[args.family]
+    given = [name for name in _PARAM_FLAGS if getattr(args, name) is not None]
+    if set(given) != set(takes):
+        raise ParamError(f"{target} takes parameters ({_flags(takes)}), got ({_flags(given)})")
+    return ParamSet(**{name: getattr(args, name) for name in _PARAM_FLAGS})
 
 
 def _emit(obj: dict, text: str, fmt: str, latex: Optional[str] = None):
@@ -236,6 +254,10 @@ def _cmd_verify(args) -> int:
 def _cmd_invert(args) -> int:
     matrix = build_matrix(args.identity, args.size, _params_from_args(args))
     inverse = matrix.invert()
+    # a one-sided inverse of a square matrix over a commutative ring is
+    # two-sided, so this product also checks the forward substitution
+    if not (inverse @ matrix).is_identity():
+        raise CheckFailure(f"inverse @ matrix is not the identity (size {args.size})")
     obj = {
         "identity": args.identity,
         "matrix": matrix.to_json(),

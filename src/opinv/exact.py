@@ -210,22 +210,27 @@ def pochhammer(a: ScalarLike, n: int) -> Scalar:
     return result
 
 
-def pochhammer_poly(a0: ScalarLike, a1: ScalarLike, n: int):
-    """Rising factorial of the degree-1 polynomial a0 + a1*x.
-
-    Returns the Poly  prod_{m=0}^{n-1} (a0 + m + a1*x),  of degree n when
-    a1 != 0 and the constant pochhammer(a0, n) when a1 == 0.
-    """
+def _pochhammer_prefix(a0: ScalarLike, a1: ScalarLike, n: int) -> list:
+    """[(a0 + a1*x)_k for k = 0..n], each Poly from the one before."""
     from .poly import Poly
 
     if n < 0:
         raise ValueError("pochhammer_poly requires n >= 0")
     a0 = ensure_scalar(a0)
     a1 = ensure_scalar(a1)
-    result = Poly.one()
+    prefix = [Poly.one()]
     for m in range(n):
-        result = result * Poly((a0 + m, a1))
-    return result
+        prefix.append(prefix[-1] * Poly((a0 + m, a1)))
+    return prefix
+
+
+def pochhammer_poly(a0: ScalarLike, a1: ScalarLike, n: int):
+    """Rising factorial of the degree-1 polynomial a0 + a1*x.
+
+    Returns the Poly  prod_{m=0}^{n-1} (a0 + m + a1*x),  of degree n when
+    a1 != 0 and the constant pochhammer(a0, n) when a1 == 0.
+    """
+    return _pochhammer_prefix(a0, a1, n)[-1]
 
 
 # -- text form ------------------------------------------------------------

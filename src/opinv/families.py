@@ -5,7 +5,12 @@ inter-family relations.
 Every family has two independent construction routes: a terminating
 coefficient sum (the explicit constructor) and the truncated expansion of
 its generating function.  The pair acts as a mutual oracle, so both sides
-are kept free of shared shortcuts.
+are kept free of shared shortcuts; the explicit route touches no series
+code.  It evaluates each sum in one pass: Jacobi, Legendre and Chebyshev
+T/U by Horner composition of their coefficient lists in (x-1)/2 or
+(1-x)/2, Laguerre and Hermite from their monomial coefficients, and
+Charlier, Meixner and Meixner-Pollaczek as one convolution of lists built
+from the rising-factorial prefix products (a0 + a1 x)_k, k = 0..n.
 
 Normalizations follow the generating functions
     hermite:            exp(x t - t^2/4)
@@ -38,7 +43,7 @@ from .exact import (
     ensure_scalar,
     factorial,
     pochhammer,
-    pochhammer_poly,
+    _pochhammer_prefix,
 )
 from .poly import Poly
 from .series import TruncSeries
@@ -147,20 +152,18 @@ def validate_params(family: str, params: ParamSet, n: int = 0) -> None:
 
 _X = Poly.x()
 _HALF = Fraction(1, 2)
+_HALF_XM1 = Poly((-_HALF, _HALF))
+_HALF_1MX = Poly((_HALF, -_HALF))
 
 
 def _jacobi_explicit(n: int, alpha: Scalar, beta: Scalar) -> Poly:
     # sum_k (n+a+b+1)_k/k! * (a+k+1)_{n-k}/(n-k)! * ((x-1)/2)^k
-    half_xm1 = Poly((Fraction(-1, 2), _HALF))
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = (
-            pochhammer(alpha + beta + n + 1, k)
-            * pochhammer(alpha + k + 1, n - k)
-            / (factorial(k) * factorial(n - k))
-        )
-        acc = acc + coef * half_xm1 ** k
-    return acc
+    return Poly(
+        pochhammer(alpha + beta + n + 1, k)
+        * pochhammer(alpha + k + 1, n - k)
+        / (factorial(k) * factorial(n - k))
+        for k in range(n + 1)
+    )(_HALF_XM1)
 
 
 def _gegenbauer_explicit(n: int, lam: Fraction) -> Poly:
@@ -169,106 +172,66 @@ def _gegenbauer_explicit(n: int, lam: Fraction) -> Poly:
 
 
 def _legendre_explicit(n: int) -> Poly:
-    half_xm1 = Poly((Fraction(-1, 2), _HALF))
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = Fraction(
-            factorial(n + k), factorial(n - k) * factorial(k) ** 2
-        )
-        acc = acc + coef * half_xm1 ** k
-    return acc
+    # sum_k (n+k)!/((n-k)! k!^2) * ((x-1)/2)^k
+    return Poly(
+        Fraction(factorial(n + k), factorial(n - k) * factorial(k) ** 2)
+        for k in range(n + 1)
+    )(_HALF_XM1)
 
 
-def _cheb_t_explicit(n: int) -> Poly:
-    # 2F1(-n, n; 1/2; (1-x)/2), terminating
-    half_1mx = Poly((_HALF, Fraction(-1, 2)))
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(Fraction(n), k)
-            / (pochhammer(_HALF, k) * factorial(k))
-        )
-        acc = acc + coef * half_1mx ** k
-    return acc
-
-
-def _cheb_u_explicit(n: int) -> Poly:
-    # (n+1) 2F1(-n, n+2; 3/2; (1-x)/2), terminating
-    half_1mx = Poly((_HALF, Fraction(-1, 2)))
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(Fraction(n + 2), k)
-            / (pochhammer(Fraction(3, 2), k) * factorial(k))
-        )
-        acc = acc + coef * half_1mx ** k
-    return (n + 1) * acc
+def _chebyshev_2f1(n: int, b: Fraction, c: Fraction) -> Poly:
+    # 2F1(-n, b; c; (1-x)/2), terminating
+    return Poly(
+        pochhammer(Fraction(-n), k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k))
+        for k in range(n + 1)
+    )(_HALF_1MX)
 
 
 def _laguerre_explicit(n: int, alpha: Scalar) -> Poly:
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = (
-            (-1) ** k
-            * pochhammer(alpha + k + 1, n - k)
-            / (factorial(n - k) * factorial(k))
-        )
-        acc = acc + coef * _X ** k
-    return acc
+    # x^k has (-1)^k (a+k+1)_{n-k}/((n-k)! k!)
+    return Poly(
+        (-1) ** k * pochhammer(alpha + k + 1, n - k) / (factorial(n - k) * factorial(k))
+        for k in range(n + 1)
+    )
 
 
 def _hermite_explicit(n: int) -> Poly:
-    # t^n coefficient of exp(xt) * exp(-t^2/4)
-    acc = Poly.zero()
+    # t^n coefficient of exp(xt) * exp(-t^2/4): x^(n-2k) has (-1/4)^k/(k!(n-2k)!)
+    coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
-        coef = Fraction(-1, 4) ** k / Fraction(
-            factorial(k) * factorial(n - 2 * k)
-        )
-        acc = acc + coef * _X ** (n - 2 * k)
-    return acc
+        coeffs[n - 2 * k] = Fraction(-1, 4) ** k / (factorial(k) * factorial(n - 2 * k))
+    return Poly(coeffs)
 
 
-def _binom_poly(k: int) -> Poly:
-    # binomial(x, k) = x(x-1)...(x-k+1)/k!
-    return pochhammer_poly(Fraction(-(k - 1)), 1, k) * Fraction(1, factorial(k))
+def _rising_terms(a0: Scalar, a1: Scalar, z: Scalar, n: int) -> list:
+    """(a0 + a1*x)_k z^k/k! for k = 0..n: the t^k coefficients of
+    (1 - z t)^(-a0 - a1*x)."""
+    prefix = _pochhammer_prefix(a0, a1, n)
+    return [p * (z ** k / Fraction(factorial(k))) for k, p in enumerate(prefix)]
+
+
+def _t_power(n: int, left: list, right: list) -> Poly:
+    """sum_k left[k] * right[n-k]: the t^n coefficient of a product of two
+    series given by their first n+1 coefficients."""
+    return sum((left[k] * right[n - k] for k in range(n + 1)), Poly.zero())
 
 
 def _charlier_explicit(n: int, a: Fraction) -> Poly:
     # t^n coefficient of exp(-a t) * (1+t)^x
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + ((-a) ** (n - k) / Fraction(factorial(n - k))) * _binom_poly(k)
-    return acc
+    exp_terms = [(-a) ** k / Fraction(factorial(k)) for k in range(n + 1)]
+    return _t_power(n, exp_terms, _rising_terms(0, -1, -1, n))
 
 
 def _meixner_explicit(n: int, beta_m: Fraction, c: Fraction) -> Poly:
-    # t^n coefficient of (1-t/c)^x * (1-t)^(-x-beta):
-    # sum_k binom(x,k)(-1/c)^k * (x+beta)_{n-k}/(n-k)!
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + (
-            _binom_poly(k)
-            * ((-1 / c) ** k)
-            * pochhammer_poly(beta_m, 1, n - k)
-            * Fraction(1, factorial(n - k))
-        )
-    return acc
+    # t^n coefficient of (1-t/c)^x * (1-t)^(-x-beta)
+    return _t_power(n, _rising_terms(0, -1, 1 / c, n), _rising_terms(beta_m, 1, 1, n))
 
 
 def _mp_explicit(n: int, lam: Fraction, phase: GaussianRational) -> Poly:
-    # t^n coefficient of (1-pt)^(-lam+ix) (1-conj(p)t)^(-lam-ix):
-    # sum_k (lam-ix)_k p^k/k! * (lam+ix)_{n-k} conj(p)^{n-k}/(n-k)!
-    pbar = conj(phase)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + (
-            pochhammer_poly(lam, -I, k)
-            * pochhammer_poly(lam, I, n - k)
-            * (phase ** k * pbar ** (n - k) / (factorial(k) * factorial(n - k)))
-        )
-    return acc
+    # t^n coefficient of (1-pt)^(-lam+ix) (1-conj(p)t)^(-lam-ix)
+    return _t_power(
+        n, _rising_terms(lam, -I, phase, n), _rising_terms(lam, I, conj(phase), n)
+    )
 
 
 #: family members kept by the constructor cache; bounded so that a process
@@ -276,29 +239,24 @@ def _mp_explicit(n: int, lam: Fraction, phase: GaussianRational) -> Poly:
 FAMILY_CACHE_SIZE = 1024
 
 
+#: each family's explicit constructor, called with n and the family's ParamSet
+_EXPLICIT = {
+    JACOBI: lambda n, p: _jacobi_explicit(n, p.alpha, p.beta),
+    GEGENBAUER: lambda n, p: _gegenbauer_explicit(n, p.lam),
+    CHEBYSHEV_T: lambda n, p: _chebyshev_2f1(n, Fraction(n), _HALF),
+    CHEBYSHEV_U: lambda n, p: (n + 1) * _chebyshev_2f1(n, Fraction(n + 2), Fraction(3, 2)),
+    LEGENDRE: lambda n, p: _legendre_explicit(n),
+    LAGUERRE: lambda n, p: _laguerre_explicit(n, p.alpha),
+    HERMITE: lambda n, p: _hermite_explicit(n),
+    CHARLIER: lambda n, p: _charlier_explicit(n, p.a),
+    MEIXNER: lambda n, p: _meixner_explicit(n, p.beta_m, p.c),
+    MEIXNER_POLLACZEK: lambda n, p: _mp_explicit(n, p.lam, p.phase),
+}
+
+
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _polynomial_cached(family: str, n: int, params: ParamSet) -> Poly:
-    if family == JACOBI:
-        return _jacobi_explicit(n, params.alpha, params.beta)
-    if family == GEGENBAUER:
-        return _gegenbauer_explicit(n, params.lam)
-    if family == CHEBYSHEV_T:
-        return _cheb_t_explicit(n)
-    if family == CHEBYSHEV_U:
-        return _cheb_u_explicit(n)
-    if family == LEGENDRE:
-        return _legendre_explicit(n)
-    if family == LAGUERRE:
-        return _laguerre_explicit(n, params.alpha)
-    if family == HERMITE:
-        return _hermite_explicit(n)
-    if family == CHARLIER:
-        return _charlier_explicit(n, params.a)
-    if family == MEIXNER:
-        return _meixner_explicit(n, params.beta_m, params.c)
-    if family == MEIXNER_POLLACZEK:
-        return _mp_explicit(n, params.lam, params.phase)
-    raise ParamError(f"unknown family {family!r}")
+    return _EXPLICIT[family](n, params)
 
 
 def polynomial(family: str, n: int, params: ParamSet = EMPTY_PARAMS) -> Poly:
@@ -425,18 +383,15 @@ def jacobi_poly_beta(
 
     Mechanically well-defined: the defining sum is a finite product of
     Pochhammers, so a polynomial parameter just promotes each factor to a
-    polynomial via pochhammer_poly.
+    polynomial: the rising factorials (n+alpha+beta+1)_k, k = 0..n, are one
+    prefix list of Polys.
     """
     half = (x0 - 1) / 2
+    rising = _pochhammer_prefix(n + alpha + beta0 + 1, beta1, n)
     acc = Poly.zero()
     for k in range(n + 1):
-        rising = pochhammer_poly(n + alpha + beta0 + 1, beta1, k)
-        coef = (
-            pochhammer(alpha + k + 1, n - k)
-            * half ** k
-            / (factorial(k) * factorial(n - k))
-        )
-        acc = acc + coef * rising
+        coef = pochhammer(alpha + k + 1, n - k) * half ** k / (factorial(k) * factorial(n - k))
+        acc = acc + coef * rising[k]
     return acc
 
 
@@ -444,30 +399,21 @@ def relation_check(relation: str, n: int, params: ParamSet = EMPTY_PARAMS) -> bo
     """Verify one of the three inter-family relations at index n.
 
     rel1: G_n^(lam) = (2 lam)_n/(lam+1/2)_n * P_n^(lam-1/2, lam-1/2)
-          (Gegenbauer side taken from the generating function so the two
-          sides stay independent);
+          (the Gegenbauer constructor is the right side; the left side is
+          taken from the generating function so the two stay independent);
     rel2: P_n = G_n^(1/2);
     rel3: M_n^(beta)(x; c) = P_n^(beta-1, -n-beta-x)((2-c)/c).
     """
     if relation == "rel1":
-        lam = params.lam
-        validate_params(GEGENBAUER, ParamSet(lam=lam), n)
-        via_series = expand_generating_function(
-            GEGENBAUER, ParamSet(lam=lam), n
-        ).coeff(n)
-        ratio = pochhammer(2 * lam, n) / pochhammer(lam + _HALF, n)
-        via_jacobi = ratio * polynomial(
-            JACOBI, n, ParamSet(alpha=lam - _HALF, beta=lam - _HALF)
-        )
-        return via_series == via_jacobi
+        gegenbauer = ParamSet(lam=params.lam)
+        via_series = expand_generating_function(GEGENBAUER, gegenbauer, n).coeff(n)
+        return via_series == polynomial(GEGENBAUER, n, gegenbauer)
     if relation == "rel2":
         return polynomial(LEGENDRE, n) == polynomial(
             GEGENBAUER, n, ParamSet(lam=_HALF)
         )
     if relation == "rel3":
         beta_m, c = params.beta_m, params.c
-        if c == 0:
-            raise ParamError("rel3 requires c != 0")
         meixner = polynomial(MEIXNER, n, ParamSet(beta_m=beta_m, c=c))
         jacobi_side = jacobi_poly_beta(
             n,

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from opinv.cli import main as cli_main
 from opinv.exact import GaussianRational, pochhammer
 from opinv.families import (

@@ -40,7 +40,7 @@ def test_eval_latex(capsys):
 def test_eval_missing_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "--family", "laguerre", "--n", "1")
     assert code == 2
-    assert "requires parameter" in err
+    assert err == "error: laguerre takes parameters (--alpha), got ()\n"
 
 
 def test_unknown_family_rejected_by_argparse(capsys):
@@ -280,16 +280,30 @@ def test_gen_hermite_check_at_zero_checks_n_zero(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("invert", "--identity", "laguerre_inv", "--size", "3"),
-                 "laguerre_inv takes parameters (alpha), got ()", id="laguerre_inv-no-alpha"),
+                 "laguerre_inv takes parameters (--alpha), got ()", id="laguerre_inv-no-alpha"),
     pytest.param(("invert", "--identity", "jacobi_inv", "--alpha", "1/2"),
-                 "jacobi_inv takes parameters (alpha, beta), got (alpha)", id="jacobi_inv-no-beta"),
+                 "jacobi_inv takes parameters (--alpha, --beta), got (--alpha)",
+                 id="jacobi_inv-no-beta"),
     pytest.param(("invert", "--identity", "jacobi_from_meixner", "--beta", "1/2"),
-                 "jacobi_from_meixner takes parameters (alpha, beta), got (beta)",
+                 "jacobi_from_meixner takes parameters (--alpha, --beta), got (--beta)",
                  id="jacobi_from_meixner-no-alpha"),
     pytest.param(("invert", "--identity", "jacobi_from_ultra"),
-                 "jacobi_from_ultra takes parameters (alpha), got ()", id="jacobi_from_ultra-no-alpha"),
+                 "jacobi_from_ultra takes parameters (--alpha), got ()",
+                 id="jacobi_from_ultra-no-alpha"),
     pytest.param(("invert", "--identity", "chebT_inverse", "--alpha", "1"),
-                 "chebT_inverse takes parameters (), got (alpha)", id="chebT_inverse-extra-alpha"),
+                 "chebT_inverse takes parameters (), got (--alpha)", id="chebT_inverse-extra-alpha"),
+    # parameters are named by the flag a user types, not by the ParamSet field
+    pytest.param(("eval", "--family", "gegenbauer", "--n", "2"),
+                 "gegenbauer takes parameters (--lambda), got ()", id="gegenbauer-no-lambda"),
+    pytest.param(("eval", "--family", "hermite", "--n", "2", "--beta-m", "1"),
+                 "hermite takes parameters (), got (--beta-m)", id="hermite-extra-beta-m"),
+    pytest.param(("invert", "--identity", "ultra_inv"),
+                 "ultra_inv takes parameters (--lambda), got ()", id="ultra_inv-no-lambda"),
+    pytest.param(("invert", "--identity", "meixner_inv", "--c", "1/2"),
+                 "meixner_inv takes parameters (--beta-m, --c), got (--c)",
+                 id="meixner_inv-no-beta-m"),
+    pytest.param(("solve", "--family", "laguerre", "--lambda", "1", "--rhs", '[{"coeffs":["1"]}]'),
+                 "laguerre takes parameters (--alpha), got (--lambda)", id="solve-lambda-for-alpha"),
     pytest.param(("gen-hermite", "coeffs", "--max-n", "0"),
                  "--max-n must be at least 1", id="coeffs-max-n-0"),
 ])

@@ -15,12 +15,12 @@ from opinv.families import (
     HERMITE,
     JACOBI,
     LAGUERRE,
-    LEGENDRE,
     MEIXNER,
     MEIXNER_POLLACZEK,
     ParamError,
     ParamSet,
     PoleError,
+    _polynomial_cached,
     derivative_shift,
     expand_generating_function,
     hermite_moment_functional,
@@ -28,6 +28,7 @@ from opinv.families import (
     relation_check,
 )
 from opinv.poly import Poly
+from opinv.series import TruncSeries
 
 
 def sample_params(family, rng):
@@ -70,14 +71,41 @@ def test_explicit_member_examples():
     assert polynomial(CHARLIER, 1, ParamSet(a=F(3, 2))) == Poly((F(-3, 2), 1))
 
 
+#: parameters at which a Pochhammer factor of the explicit sum, or a factor of
+#: one of its rising-factorial prefix lists, vanishes
+_DEGENERATE_PARAMS = {
+    JACOBI: [ParamSet(alpha=F(-2), beta=F(-3))],
+    GEGENBAUER: [ParamSet(lam=F(-1))],
+    LAGUERRE: [ParamSet(alpha=F(-3))],
+    CHARLIER: [ParamSet(a=F(0))],
+    MEIXNER: [ParamSet(beta_m=F(-2), c=F(1, 2))],
+    MEIXNER_POLLACZEK: [ParamSet(lam=F(0), phase=DEFAULT_PHASE)],
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_oracle_equivalence_explicit_vs_generating_function(family):
     rng = random.Random(family)  # a str seed is hashed by sha512, the same in every process
-    for _ in range(3):
-        params = sample_params(family, rng)
+    drawn = [sample_params(family, rng) for _ in range(3)]
+    for params in drawn + _DEGENERATE_PARAMS.get(family, []):
         series = expand_generating_function(family, params, 10)
         for n in range(11):
             assert series.coeff(n) == polynomial(family, n, params), (family, n, params)
+
+
+def test_explicit_constructors_build_no_series(monkeypatch):
+    # the explicit route is the generating functions' oracle only while it
+    # shares no code with them
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an explicit constructor built a TruncSeries")
+
+    monkeypatch.setattr(TruncSeries, "__init__", refuse)
+    _polynomial_cached.cache_clear()
+    rng = random.Random(8)
+    for family in FAMILIES:
+        params = sample_params(family, rng)
+        for n in range(9):
+            polynomial(family, n, params)
 
 
 def test_hermite_values_at_zero():

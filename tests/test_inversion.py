@@ -30,20 +30,25 @@ def test_identity_matrix_inverts_to_itself():
 
 
 _COUNT_INVERT_PRODUCTS = """
-from fractions import Fraction
-from opinv.families import ParamSet
-from opinv.inversion import LowerTriPolyMatrix, build_matrix
+import contextlib, io
+from opinv.cli import main
+from opinv.inversion import LowerTriPolyMatrix, verify_identity
 
 calls = []
 matmul = LowerTriPolyMatrix.__matmul__
 LowerTriPolyMatrix.__matmul__ = lambda a, b: calls.append(1) or matmul(a, b)
-build_matrix("laguerre_inv", 5, ParamSet(alpha=Fraction(1, 3))).invert()
-print(len(calls))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["invert", "--identity", "laguerre_inv", "--alpha", "1/3", "--size", "5"])
+print(code, len(calls))
+calls.clear()
+print(verify_identity("laguerre_inv", size=5, samples=2).status, len(calls))
 """
 
 
 def test_invert_checks_its_product_under_optimize():
-    # python -O strips assert statements; the inverse @ matrix check is not one
+    # python -O strips assert statements; the CLI's inverse @ matrix check is
+    # not one, and verify_identity compares every entry with the closed form
+    # instead of multiplying
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
@@ -51,7 +56,7 @@ def test_invert_checks_its_product_under_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "1"
+    assert done.stdout.splitlines() == ["0 1", "pass 0"]
 
 
 def test_invert_rejects_polynomial_diagonal():
