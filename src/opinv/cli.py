@@ -378,7 +378,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_attach_negative_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
-    except (ParamError, ValueError) as exc:
+    except ParamError as exc:
+        message = exc.naming(_PARAM_FLAGS[exc.field][0]) if exc.field else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 
@@ -191,37 +191,24 @@ def binary_power(base, n: int, one):
 
 factorial = math.factorial
 
-#: entries kept by the pochhammer cache; a long-running process that sees
-#: ever new parameters would otherwise grow without limit
-POCHHAMMER_CACHE_SIZE = 4096
 
+def rising_factorials(a, n: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_n] for a scalar or Poly a, each entry the one
+    before times (a + m); an int a counts as a Fraction."""
+    from .poly import Poly  # poly imports this module
 
-# typed: a real GaussianRational equals and hashes like the equal Fraction,
-# but the result type must follow the argument type
-@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE, typed=True)
-def pochhammer(a: ScalarLike, n: int) -> Scalar:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1); (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
-    a = ensure_scalar(a)
-    result = ensure_scalar(1)
-    for m in range(n):
-        result = result * (a + m)
-    return result
+    if isinstance(a, Poly):
+        one = Poly.one()
+    else:
+        a, one = ensure_scalar(a), Fraction(1)
+    return list(accumulate(range(n), lambda prefix, m: prefix * (a + m), initial=one))
 
 
-def _pochhammer_prefix(a0: ScalarLike, a1: ScalarLike, n: int) -> list:
-    """[(a0 + a1*x)_k for k = 0..n], each Poly from the one before."""
-    from .poly import Poly
-
-    if n < 0:
-        raise ValueError("pochhammer_poly requires n >= 0")
-    a0 = ensure_scalar(a0)
-    a1 = ensure_scalar(a1)
-    prefix = [Poly.one()]
-    for m in range(n):
-        prefix.append(prefix[-1] * Poly((a0 + m, a1)))
-    return prefix
+def pochhammer(a: ScalarLike, n: int) -> Scalar:
+    """Rising factorial (a)_n = a(a+1)...(a+n-1); (a)_0 = 1."""
+    return rising_factorials(a, n)[-1]
 
 
 def pochhammer_poly(a0: ScalarLike, a1: ScalarLike, n: int):
@@ -230,7 +217,9 @@ def pochhammer_poly(a0: ScalarLike, a1: ScalarLike, n: int):
     Returns the Poly  prod_{m=0}^{n-1} (a0 + m + a1*x),  of degree n when
     a1 != 0 and the constant pochhammer(a0, n) when a1 == 0.
     """
-    return _pochhammer_prefix(a0, a1, n)[-1]
+    from .poly import Poly
+
+    return rising_factorials(Poly((a0, a1)), n)[-1]
 
 
 # -- text form ------------------------------------------------------------

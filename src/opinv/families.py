@@ -9,8 +9,11 @@ are kept free of shared shortcuts; the explicit route touches no series
 code.  It evaluates each sum in one pass: Jacobi, Legendre and Chebyshev
 T/U by Horner composition of their coefficient lists in (x-1)/2 or
 (1-x)/2, Laguerre and Hermite from their monomial coefficients, and
-Charlier, Meixner and Meixner-Pollaczek as one convolution of lists built
-from the rising-factorial prefix products (a0 + a1 x)_k, k = 0..n.
+Charlier, Meixner and Meixner-Pollaczek as one convolution of two lists.
+Every list entry (a)_k z^k/k!, a scalar or a + b x, comes from one prefix
+list of ``exact.rising_factorials`` and a running product for z^k/k!; the
+Jacobi-type factors (a+k+1)_{n-k} of every k come from one list by
+(a+k+1)_{n-k} = (-1)^(n-k) (-a-n)_{n-k}.
 
 Normalizations follow the generating functions
     hermite:            exp(x t - t^2/4)
@@ -29,9 +32,10 @@ Normalizations follow the generating functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .exact import (
@@ -43,7 +47,7 @@ from .exact import (
     ensure_scalar,
     factorial,
     pochhammer,
-    _pochhammer_prefix,
+    rising_factorials,
 )
 from .poly import Poly
 from .series import TruncSeries
@@ -92,7 +96,18 @@ DEFAULT_PHASE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
 
 class ParamError(ValueError):
-    """A ParamSet fails a family's parameter invariant."""
+    """A ParamSet fails a family's parameter invariant.
+
+    A message about one parameter's value has a {} slot: str() fills it with
+    "field = value", naming(name) with "name value" (the CLI passes a flag).
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None, value=None):
+        self.message, self.field, self.value = message, field, value
+        super().__init__(self.naming(f"{field} =") if field else message)
+
+    def naming(self, name: str) -> str:
+        return self.message.format(f"{name} {self.value}")
 
 
 class PoleError(ParamError):
@@ -106,6 +121,9 @@ class CheckFailure(AssertionError):
 
 @dataclass(frozen=True)
 class ParamSet:
+    """A family's or identity's parameters, exact scalars or None; an int
+    is stored as the equal Fraction."""
+
     alpha: Optional[Fraction] = None
     beta: Optional[Fraction] = None
     lam: Optional[Fraction] = None
@@ -114,6 +132,19 @@ class ParamSet:
     beta_m: Optional[Fraction] = None
     phase: Optional[GaussianRational] = None
 
+    def __post_init__(self):
+        for name in PARAM_NAMES:
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    object.__setattr__(self, name, ensure_scalar(value))
+            except TypeError:
+                raise ParamError(f"parameter {name!r} must be an int, Fraction or "
+                                 f"GaussianRational, got {value!r}") from None
+
+
+#: the ParamSet fields, in declaration order
+PARAM_NAMES = tuple(f.name for f in fields(ParamSet))
 
 EMPTY_PARAMS = ParamSet()
 
@@ -123,7 +154,7 @@ def validate_params(family: str, params: ParamSet, n: int = 0) -> None:
     if family not in REQUIRED_PARAMS:
         raise ParamError(f"unknown family {family!r}; expected one of {FAMILIES}")
     required = REQUIRED_PARAMS[family]
-    for name in ("alpha", "beta", "lam", "a", "c", "beta_m", "phase"):
+    for name in PARAM_NAMES:
         value = getattr(params, name)
         if name in required and value is None:
             raise ParamError(f"{family} requires parameter {name!r}")
@@ -137,12 +168,13 @@ def validate_params(family: str, params: ParamSet, n: int = 0) -> None:
     if family == GEGENBAUER:
         if params.lam == 0:
             raise ParamError(
-                "gegenbauer rejects lam = 0; use chebyshev_t for that normalization"
+                "gegenbauer rejects {}; use chebyshev_t for that normalization",
+                "lam", params.lam,
             )
         for m in range(n):
             if params.lam + Fraction(1, 2) + m == 0:
                 raise PoleError(
-                    f"gegenbauer pole: (lam+1/2)_{n} vanishes at lam={params.lam}"
+                    f"gegenbauer pole at {{}}: (lambda+1/2)_{n} vanishes", "lam", params.lam
                 )
 
 
@@ -156,14 +188,22 @@ _HALF_XM1 = Poly((-_HALF, _HALF))
 _HALF_1MX = Poly((_HALF, -_HALF))
 
 
+def _exp_terms(z: Scalar, n: int) -> list:
+    """z^k/k! for k = 0..n, the t^k coefficients of exp(z t)."""
+    return list(accumulate(range(1, n + 1), lambda term, k: term * z / k, initial=Fraction(1)))
+
+
+def _rising_terms(a, z: Scalar, n: int) -> list:
+    """(a)_k z^k/k! for k = 0..n, a a scalar or a Poly: the t^k coefficients
+    of (1 - z t)^(-a)."""
+    return [p * term for p, term in zip(rising_factorials(a, n), _exp_terms(z, n))]
+
+
 def _jacobi_explicit(n: int, alpha: Scalar, beta: Scalar) -> Poly:
-    # sum_k (n+a+b+1)_k/k! * (a+k+1)_{n-k}/(n-k)! * ((x-1)/2)^k
-    return Poly(
-        pochhammer(alpha + beta + n + 1, k)
-        * pochhammer(alpha + k + 1, n - k)
-        / (factorial(k) * factorial(n - k))
-        for k in range(n + 1)
-    )(_HALF_XM1)
+    # sum_k (n+a+b+1)_k/k! * (a+k+1)_{n-k}/(n-k)! * ((x-1)/2)^k,
+    # with (a+k+1)_{n-k} = (-1)^(n-k) (-a-n)_{n-k}
+    up, down = _rising_terms(alpha + beta + n + 1, 1, n), _rising_terms(-alpha - n, -1, n)
+    return Poly(up[k] * down[n - k] for k in range(n + 1))(_HALF_XM1)
 
 
 def _gegenbauer_explicit(n: int, lam: Fraction) -> Poly:
@@ -181,33 +221,24 @@ def _legendre_explicit(n: int) -> Poly:
 
 def _chebyshev_2f1(n: int, b: Fraction, c: Fraction) -> Poly:
     # 2F1(-n, b; c; (1-x)/2), terminating
+    rise_n, rise_b, rise_c = (rising_factorials(v, n) for v in (-n, b, c))
     return Poly(
-        pochhammer(Fraction(-n), k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k))
-        for k in range(n + 1)
+        rise_n[k] * rise_b[k] / (rise_c[k] * factorial(k)) for k in range(n + 1)
     )(_HALF_1MX)
 
 
 def _laguerre_explicit(n: int, alpha: Scalar) -> Poly:
-    # x^k has (-1)^k (a+k+1)_{n-k}/((n-k)! k!)
-    return Poly(
-        (-1) ** k * pochhammer(alpha + k + 1, n - k) / (factorial(n - k) * factorial(k))
-        for k in range(n + 1)
-    )
+    # x^k has (-1)^k/k! * (a+k+1)_{n-k}/(n-k)!, as in _jacobi_explicit
+    down = _rising_terms(-alpha - n, -1, n)
+    return Poly(sign * d for sign, d in zip(_exp_terms(-1, n), reversed(down)))
 
 
 def _hermite_explicit(n: int) -> Poly:
     # t^n coefficient of exp(xt) * exp(-t^2/4): x^(n-2k) has (-1/4)^k/(k!(n-2k)!)
     coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(-1, 4) ** k / (factorial(k) * factorial(n - 2 * k))
+    for k, term in enumerate(_exp_terms(Fraction(-1, 4), n // 2)):
+        coeffs[n - 2 * k] = term / factorial(n - 2 * k)
     return Poly(coeffs)
-
-
-def _rising_terms(a0: Scalar, a1: Scalar, z: Scalar, n: int) -> list:
-    """(a0 + a1*x)_k z^k/k! for k = 0..n: the t^k coefficients of
-    (1 - z t)^(-a0 - a1*x)."""
-    prefix = _pochhammer_prefix(a0, a1, n)
-    return [p * (z ** k / Fraction(factorial(k))) for k, p in enumerate(prefix)]
 
 
 def _t_power(n: int, left: list, right: list) -> Poly:
@@ -218,19 +249,18 @@ def _t_power(n: int, left: list, right: list) -> Poly:
 
 def _charlier_explicit(n: int, a: Fraction) -> Poly:
     # t^n coefficient of exp(-a t) * (1+t)^x
-    exp_terms = [(-a) ** k / Fraction(factorial(k)) for k in range(n + 1)]
-    return _t_power(n, exp_terms, _rising_terms(0, -1, -1, n))
+    return _t_power(n, _exp_terms(-a, n), _rising_terms(-_X, -1, n))
 
 
 def _meixner_explicit(n: int, beta_m: Fraction, c: Fraction) -> Poly:
     # t^n coefficient of (1-t/c)^x * (1-t)^(-x-beta)
-    return _t_power(n, _rising_terms(0, -1, 1 / c, n), _rising_terms(beta_m, 1, 1, n))
+    return _t_power(n, _rising_terms(-_X, 1 / c, n), _rising_terms(_X + beta_m, 1, n))
 
 
 def _mp_explicit(n: int, lam: Fraction, phase: GaussianRational) -> Poly:
     # t^n coefficient of (1-pt)^(-lam+ix) (1-conj(p)t)^(-lam-ix)
     return _t_power(
-        n, _rising_terms(lam, -I, phase, n), _rising_terms(lam, I, conj(phase), n)
+        n, _rising_terms(lam - I * _X, phase, n), _rising_terms(lam + I * _X, conj(phase), n)
     )
 
 
@@ -256,6 +286,8 @@ _EXPLICIT = {
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _polynomial_cached(family: str, n: int, params: ParamSet) -> Poly:
+    # only a miss validates: a hit's key has passed before
+    validate_params(family, params, n)
     return _EXPLICIT[family](n, params)
 
 
@@ -263,7 +295,6 @@ def polynomial(family: str, n: int, params: ParamSet = EMPTY_PARAMS) -> Poly:
     """The n-th member of a family, by its explicit coefficient sum."""
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    validate_params(family, params, n)
     return _polynomial_cached(family, n, params)
 
 
@@ -367,11 +398,12 @@ def derivative_shift(family: str, n: int, i: int, params: ParamSet = EMPTY_PARAM
 def hermite_moment_functional(p: Poly) -> Fraction:
     """(1/sqrt(pi)) * integral of e^(-x^2) p(x) dx, via the exact moments
     mu_{2k} = (1/2)_k and mu_{2k+1} = 0.  Rejects complex coefficients."""
+    moments = rising_factorials(_HALF, len(p.coeffs) // 2)
     total = Fraction(0)
     for k, coeff in enumerate(p.coeffs):
         coeff = as_rational(coeff)
         if k % 2 == 0:
-            total += coeff * as_rational(pochhammer(_HALF, k // 2))
+            total += coeff * moments[k // 2]
     return total
 
 
@@ -383,16 +415,13 @@ def jacobi_poly_beta(
 
     Mechanically well-defined: the defining sum is a finite product of
     Pochhammers, so a polynomial parameter just promotes each factor to a
-    polynomial: the rising factorials (n+alpha+beta+1)_k, k = 0..n, are one
-    prefix list of Polys.
+    polynomial.  With the lists of _jacobi_explicit, the sum is the t^n
+    coefficient of (1 - (x0-1)/2 t)^(-n-alpha-beta-1) (1 + t)^(alpha+n).
     """
-    half = (x0 - 1) / 2
-    rising = _pochhammer_prefix(n + alpha + beta0 + 1, beta1, n)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = pochhammer(alpha + k + 1, n - k) * half ** k / (factorial(k) * factorial(n - k))
-        acc = acc + coef * rising[k]
-    return acc
+    beta = beta0 + beta1 * _X
+    return _t_power(
+        n, _rising_terms(n + alpha + beta + 1, (x0 - 1) / 2, n), _rising_terms(-alpha - n, -1, n)
+    )
 
 
 def relation_check(relation: str, n: int, params: ParamSet = EMPTY_PARAMS) -> bool:

@@ -48,7 +48,9 @@ from .families import (
     LEGENDRE,
     MEIXNER,
     MEIXNER_POLLACZEK,
+    DEFAULT_PHASE,
     EMPTY_PARAMS,
+    PARAM_NAMES,
     ParamError,
     ParamSet,
     PoleError,
@@ -496,7 +498,7 @@ def _candidates(names: Sequence[str], size: int, count: int, seed: int, pit: boo
         for combo in itertools.product(values, repeat=len(rational_names)):
             kwargs = dict(zip(rational_names, combo))
             if "phase" in names:
-                kwargs["phase"] = DEFAULT_PHASE_SAMPLE
+                kwargs["phase"] = DEFAULT_PHASE
             yield ParamSet(**kwargs)
         return
     rng = random.Random(seed)
@@ -551,9 +553,6 @@ def sample_params(
     return [params for params, _, _ in _pole_free_samples(identity, size, count, seed, pit)]
 
 
-DEFAULT_PHASE_SAMPLE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -589,7 +588,7 @@ def _params_json(params: ParamSet) -> dict:
     from .exact import format_scalar
 
     out = {}
-    for name in ("alpha", "beta", "lam", "a", "c", "beta_m", "phase"):
+    for name in PARAM_NAMES:
         value = getattr(params, name)
         if value is not None:
             out[name] = format_scalar(value)

@@ -304,6 +304,12 @@ def test_gen_hermite_check_at_zero_checks_n_zero(capsys):
                  id="meixner_inv-no-beta-m"),
     pytest.param(("solve", "--family", "laguerre", "--lambda", "1", "--rhs", '[{"coeffs":["1"]}]'),
                  "laguerre takes parameters (--alpha), got (--lambda)", id="solve-lambda-for-alpha"),
+    pytest.param(("eval", "--family", "gegenbauer", "--n", "2", "--lambda", "0"),
+                 "gegenbauer rejects --lambda 0;", id="gegenbauer-lambda-0"),
+    pytest.param(("eval", "--family", "gegenbauer", "--n", "4", "--lambda", "-3/2"),
+                 "gegenbauer pole at --lambda -3/2:", id="gegenbauer-pole"),
+    pytest.param(("invert", "--identity", "ultra_inv", "--lambda", "0"),
+                 "gegenbauer rejects --lambda 0;", id="ultra_inv-lambda-0"),
     pytest.param(("gen-hermite", "coeffs", "--max-n", "0"),
                  "--max-n must be at least 1", id="coeffs-max-n-0"),
 ])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from opinv.exact import (
     parse_scalar,
     pochhammer,
     pochhammer_poly,
+    rising_factorials,
 )
 from opinv.poly import Poly
 
@@ -22,9 +24,8 @@ def test_pochhammer_empty_product():
 
 
 def test_pochhammer_result_type_follows_argument_type():
-    # a real GaussianRational equals and hashes like the equal Fraction, so
-    # an untyped cache would hand one caller the other's result type
-    pochhammer.cache_clear()
+    # a real GaussianRational equals and hashes like the equal Fraction, but
+    # the result type follows the argument type
     assert isinstance(pochhammer(GaussianRational(F(5, 2)), 2), GaussianRational)
     assert type(pochhammer(F(5, 2), 2)) is F
     from opinv.genhermite import alpha_even
@@ -40,6 +41,36 @@ def test_pochhammer_hand_values():
 @given(rationals, st.integers(0, 20), st.integers(0, 20))
 def test_pochhammer_splitting(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
+
+
+scalars = st.one_of(
+    st.integers(-6, 6), rationals, st.builds(GaussianRational, rationals, rationals)
+)
+
+
+def _literal_rising(a, k, one):
+    return math.prod((a + m for m in range(k)), start=one)
+
+
+@given(scalars, st.integers(0, 12))
+def test_rising_factorials_match_a_literal_product(a, n):
+    prefix = rising_factorials(a, n)
+    assert prefix == [_literal_rising(a, k, F(1)) for k in range(n + 1)]
+    assert pochhammer(a, n) == prefix[-1]
+    if isinstance(a, GaussianRational):
+        assert n == 0 or isinstance(pochhammer(a, n), GaussianRational)
+    else:  # an int counts as a Fraction, never a float
+        assert all(type(v) is F for v in prefix)
+        assert type(pochhammer(a, n)) is F
+
+
+@given(scalars, scalars, st.integers(0, 8))
+def test_polynomial_rising_factorials_match_a_literal_product(a0, a1, n):
+    a = Poly((a0, a1))
+    prefix = rising_factorials(a, n)
+    assert prefix == [_literal_rising(a, k, Poly.one()) for k in range(n + 1)]
+    assert all(type(p) is Poly for p in prefix)
+    assert pochhammer_poly(a0, a1, n) == prefix[-1]
 
 
 def test_pochhammer_poly_basic():

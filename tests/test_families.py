@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import opinv.families as families
 from opinv.exact import GaussianRational
 from opinv.families import (
     CHARLIER,
@@ -106,6 +107,59 @@ def test_explicit_constructors_build_no_series(monkeypatch):
         params = sample_params(family, rng)
         for n in range(9):
             polynomial(family, n, params)
+
+
+def test_explicit_constructors_call_pochhammer_only_for_the_gegenbauer_ratio(monkeypatch):
+    # every other rising factorial is read from a prefix list
+    rng = random.Random(12)
+    drawn = {family: sample_params(family, rng) for family in FAMILIES}
+    calls = []
+    original = families.pochhammer
+
+    def counting(a, n):
+        calls.append((a, n))
+        return original(a, n)
+
+    monkeypatch.setattr(families, "pochhammer", counting)
+    _polynomial_cached.cache_clear()
+    for family, params in drawn.items():
+        for n in range(13):
+            polynomial(family, n, params)
+    assert len(calls) == 2 * 13
+
+
+def test_a_member_validates_once(monkeypatch):
+    calls = []
+    original = families.validate_params
+
+    def counting(family, params, n=0):
+        calls.append((family, n, params))
+        return original(family, params, n)
+
+    monkeypatch.setattr(families, "validate_params", counting)
+    _polynomial_cached.cache_clear()
+    keys = [
+        (LAGUERRE, 3, ParamSet(alpha=F(1, 3))),
+        (LAGUERRE, 4, ParamSet(alpha=F(1, 3))),
+        (LAGUERRE, 3, ParamSet(alpha=F(2, 3))),
+        (HERMITE, 3, ParamSet()),
+        (GEGENBAUER, 5, ParamSet(lam=F(3, 4))),
+    ]
+    for _ in range(4):
+        for family, n, params in keys:
+            polynomial(family, n, params)
+    assert sorted(calls, key=repr) == sorted(keys, key=repr)
+
+
+def test_param_set_takes_only_exact_scalars():
+    params = ParamSet(beta_m=2, c=3)
+    assert type(params.beta_m) is F and type(params.c) is F
+    assert params == ParamSet(beta_m=F(2), c=F(3))
+    assert polynomial(MEIXNER, 3, params) == polynomial(MEIXNER, 3, ParamSet(beta_m=F(2), c=F(3)))
+    with pytest.raises(ParamError, match="'alpha'"):
+        ParamSet(alpha=0.5)
+    with pytest.raises(ParamError, match="'phase'"):
+        ParamSet(lam=F(1), phase=complex(0.6, 0.8))
 
 
 def test_hermite_values_at_zero():

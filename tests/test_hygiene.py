@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import in the package or the tests goes
-unused."""
+unused, and no module-level private name of the package outlives its last
+use."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "opinv").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "opinv").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module):
@@ -30,3 +32,32 @@ def _unused_imports(tree: ast.Module):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_import(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _private_definitions(tree: ast.Module):
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            stores = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for s in stores for t in ast.walk(s) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _read_names(tree: ast.Module):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_private_module_name_is_used_in_the_package(path):
+    used = set().union(*(_read_names(ast.parse(p.read_text(), str(p))) for p in PACKAGE))
+    defined = _private_definitions(ast.parse(path.read_text(), str(path)))
+    assert sorted((line, name) for name, line in defined.items() if name not in used) == []
