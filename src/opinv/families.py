@@ -6,14 +6,15 @@ Every family has two independent construction routes: a terminating
 coefficient sum (the explicit constructor) and the truncated expansion of
 its generating function.  The pair acts as a mutual oracle, so both sides
 are kept free of shared shortcuts; the explicit route touches no series
-code.  It evaluates each sum in one pass: Jacobi, Legendre and Chebyshev
-T/U by Horner composition of their coefficient lists in (x-1)/2 or
-(1-x)/2, Laguerre and Hermite from their monomial coefficients, and
-Charlier, Meixner and Meixner-Pollaczek as one convolution of two lists.
-Every list entry (a)_k z^k/k!, a scalar or a + b x, comes from one prefix
-list of ``exact.rising_factorials`` and a running product for z^k/k!; the
-Jacobi-type factors (a+k+1)_{n-k} of every k come from one list by
-(a+k+1)_{n-k} = (-1)^(n-k) (-a-n)_{n-k}.
+code and no generating-function product.  Jacobi, Meixner and
+Meixner-Pollaczek are terminating 2F1 sums (Koekoek, Lesky & Swarttouw,
+Hypergeometric Orthogonal Polynomials and Their q-Analogues, 2010, 9.8,
+9.10, 9.7) read from one term list, ``_2f1_terms``, with no division by
+(b)_k.  Jacobi, Legendre and Chebyshev T/U are composed in (x-1)/2 or
+(1-x)/2 by Horner, Laguerre and Hermite come from their monomial
+coefficients, and Charlier is its 2F0 sum.  Every list entry (a)_k z^k/k!,
+a scalar or a + b x, comes from one prefix list of
+``exact.rising_factorials`` and a running product for z^k/k!.
 
 Normalizations follow the generating functions
     hermite:            exp(x t - t^2/4)
@@ -46,7 +47,9 @@ from .exact import (
     conj,
     ensure_scalar,
     factorial,
+    imag_part,
     pochhammer,
+    real_part,
     rising_factorials,
 )
 from .poly import Poly
@@ -162,9 +165,9 @@ def validate_params(family: str, params: ParamSet, n: int = 0) -> None:
             raise ParamError(f"{family} does not take parameter {name!r}")
     if family == MEIXNER and params.c == 0:
         raise ParamError("meixner requires c != 0")
-    if family == MEIXNER_POLLACZEK:
-        if params.phase * conj(params.phase) != 1:
-            raise ParamError(f"phase must be unimodular, got {params.phase}")
+    if family == MEIXNER_POLLACZEK and params.phase * conj(params.phase) != 1:
+        phase = f"{real_part(params.phase)},{imag_part(params.phase)}"
+        raise ParamError("phase must be unimodular, got {}", "phase", phase)
     if family == GEGENBAUER:
         if params.lam == 0:
             raise ParamError(
@@ -199,11 +202,17 @@ def _rising_terms(a, z: Scalar, n: int) -> list:
     return [p * term for p, term in zip(rising_factorials(a, n), _exp_terms(z, n))]
 
 
+def _2f1_terms(n: int, a, z: Scalar, b: Scalar, w: Scalar = 1) -> list:
+    """(a)_k z^k/k! * (b+k)_{n-k} w^(n-k)/(n-k)! for k = 0..n, a a scalar or
+    a Poly.  They sum to (b)_n w^n/n! * 2F1(-n, a; b; -z/w); the factors
+    (b+k)_{n-k} = (-1)^(n-k) (1-b-n)_{n-k} of every k come from one list."""
+    down = _rising_terms(1 - b - n, -w, n)
+    return [up * d for up, d in zip(_rising_terms(a, z, n), reversed(down))]
+
+
 def _jacobi_explicit(n: int, alpha: Scalar, beta: Scalar) -> Poly:
-    # sum_k (n+a+b+1)_k/k! * (a+k+1)_{n-k}/(n-k)! * ((x-1)/2)^k,
-    # with (a+k+1)_{n-k} = (-1)^(n-k) (-a-n)_{n-k}
-    up, down = _rising_terms(alpha + beta + n + 1, 1, n), _rising_terms(-alpha - n, -1, n)
-    return Poly(up[k] * down[n - k] for k in range(n + 1))(_HALF_XM1)
+    # (a+1)_n/n! 2F1(-n, n+a+b+1; a+1; (1-x)/2), a polynomial in (x-1)/2
+    return Poly(_2f1_terms(n, alpha + beta + n + 1, 1, alpha + 1))(_HALF_XM1)
 
 
 def _gegenbauer_explicit(n: int, lam: Fraction) -> Poly:
@@ -241,27 +250,21 @@ def _hermite_explicit(n: int) -> Poly:
     return Poly(coeffs)
 
 
-def _t_power(n: int, left: list, right: list) -> Poly:
-    """sum_k left[k] * right[n-k]: the t^n coefficient of a product of two
-    series given by their first n+1 coefficients."""
-    return sum((left[k] * right[n - k] for k in range(n + 1)), Poly.zero())
-
-
 def _charlier_explicit(n: int, a: Fraction) -> Poly:
-    # t^n coefficient of exp(-a t) * (1+t)^x
-    return _t_power(n, _exp_terms(-a, n), _rising_terms(-_X, -1, n))
+    # the 2F0 sum: (-x)_k (-1)^k/k! * (-a)^(n-k)/(n-k)!
+    terms = zip(_rising_terms(-_X, -1, n), reversed(_exp_terms(-a, n)))
+    return sum((r * e for r, e in terms), Poly.zero())
 
 
 def _meixner_explicit(n: int, beta_m: Fraction, c: Fraction) -> Poly:
-    # t^n coefficient of (1-t/c)^x * (1-t)^(-x-beta)
-    return _t_power(n, _rising_terms(-_X, 1 / c, n), _rising_terms(_X + beta_m, 1, n))
+    # (beta)_n/n! 2F1(-n, -x; beta; 1 - 1/c)
+    return sum(_2f1_terms(n, -_X, 1 / c - 1, beta_m), Poly.zero())
 
 
 def _mp_explicit(n: int, lam: Fraction, phase: GaussianRational) -> Poly:
-    # t^n coefficient of (1-pt)^(-lam+ix) (1-conj(p)t)^(-lam-ix)
-    return _t_power(
-        n, _rising_terms(lam - I * _X, phase, n), _rising_terms(lam + I * _X, conj(phase), n)
-    )
+    # (2 lam)_n p^n/n! 2F1(-n, lam+ix; 2 lam; 1 - conj(p)^2); the z and w
+    # lists share p^n, as p (conj(p)^2 - 1) = conj(p) - p
+    return sum(_2f1_terms(n, lam + I * _X, conj(phase) - phase, 2 * lam, phase), Poly.zero())
 
 
 #: family members kept by the constructor cache; bounded so that a process
@@ -293,8 +296,8 @@ def _polynomial_cached(family: str, n: int, params: ParamSet) -> Poly:
 
 def polynomial(family: str, n: int, params: ParamSet = EMPTY_PARAMS) -> Poly:
     """The n-th member of a family, by its explicit coefficient sum."""
-    if n < 0:
-        raise ValueError("polynomial index must be >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"polynomial index must be an int >= 0, got {n!r}")
     return _polynomial_cached(family, n, params)
 
 
@@ -415,13 +418,10 @@ def jacobi_poly_beta(
 
     Mechanically well-defined: the defining sum is a finite product of
     Pochhammers, so a polynomial parameter just promotes each factor to a
-    polynomial.  With the lists of _jacobi_explicit, the sum is the t^n
-    coefficient of (1 - (x0-1)/2 t)^(-n-alpha-beta-1) (1 + t)^(alpha+n).
+    polynomial.  It is _jacobi_explicit's term list at z = (x0-1)/2.
     """
     beta = beta0 + beta1 * _X
-    return _t_power(
-        n, _rising_terms(n + alpha + beta + 1, (x0 - 1) / 2, n), _rising_terms(-alpha - n, -1, n)
-    )
+    return sum(_2f1_terms(n, n + alpha + beta + 1, (x0 - 1) / 2, alpha + 1), Poly.zero())
 
 
 def relation_check(relation: str, n: int, params: ParamSet = EMPTY_PARAMS) -> bool:
@@ -431,7 +431,9 @@ def relation_check(relation: str, n: int, params: ParamSet = EMPTY_PARAMS) -> bo
           (the Gegenbauer constructor is the right side; the left side is
           taken from the generating function so the two stay independent);
     rel2: P_n = G_n^(1/2);
-    rel3: M_n^(beta)(x; c) = P_n^(beta-1, -n-beta-x)((2-c)/c).
+    rel3: M_n^(beta)(x; c) = P_n^(beta-1, -n-beta-x)((2-c)/c)
+          (the right side is the Meixner constructor's term list, so the
+          left side is taken from the generating function).
     """
     if relation == "rel1":
         gegenbauer = ParamSet(lam=params.lam)
@@ -443,13 +445,9 @@ def relation_check(relation: str, n: int, params: ParamSet = EMPTY_PARAMS) -> bo
         )
     if relation == "rel3":
         beta_m, c = params.beta_m, params.c
-        meixner = polynomial(MEIXNER, n, ParamSet(beta_m=beta_m, c=c))
-        jacobi_side = jacobi_poly_beta(
-            n,
-            alpha=beta_m - 1,
-            beta0=Fraction(-n) - beta_m,
-            beta1=Fraction(-1),
-            x0=(2 - c) / c,
+        meixner = ParamSet(beta_m=beta_m, c=c)
+        via_series = expand_generating_function(MEIXNER, meixner, n).coeff(n)
+        return via_series == jacobi_poly_beta(
+            n, alpha=beta_m - 1, beta0=Fraction(-n) - beta_m, beta1=Fraction(-1), x0=(2 - c) / c
         )
-        return meixner == jacobi_side
     raise ValueError(f"unknown relation {relation!r}; expected rel1, rel2 or rel3")

@@ -108,6 +108,9 @@ class GenHermiteConfig:
     def __post_init__(self):
         if self.max_n < 0:
             raise ValueError(f"max_n must be >= 0, got {self.max_n}")
+        for value in self.odd_alphas:
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"odd alphas must be ints or Fractions, got {value!r}")
         needed = (self.max_n + 1) // 2
         if not self.odd_alphas:
             object.__setattr__(self, "odd_alphas", (Fraction(0),) * max(needed, 1))

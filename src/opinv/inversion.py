@@ -208,6 +208,11 @@ def _check_identity_tag(identity: str):
         )
 
 
+def _check_size(size: int):
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+
+
 def _check_params(identity: str, params: ParamSet):
     """ParamError unless params sets exactly the parameters identity takes."""
     expected = IDENTITY_PARAMS[identity]
@@ -271,6 +276,7 @@ def build_matrix(identity: str, size: int, params: ParamSet = EMPTY_PARAMS) -> L
     _check_identity_tag(identity)
     if identity not in MATRIX_IDENTITIES:
         raise ValueError(f"{identity!r} is a convolution identity, not a matrix one")
+    _check_size(size)
     _check_params(identity, params)
     return LowerTriPolyMatrix.from_entry_fn(
         size, lambda i, j: _matrix_entry(identity, i, j, params)
@@ -604,14 +610,20 @@ def verify_identity(
     pit: bool = False,
 ) -> VerificationReport:
     """Run one identity's verifier over parameter samples; failures are
-    reported (with the first counterexample location), never raised."""
+    reported (with the first counterexample location), never raised.
+    ValueError for size < 1 or no samples, so no empty check reports a pass."""
     _check_identity_tag(identity)
+    _check_size(size)
     start = time.monotonic()
     report = VerificationReport(identity=identity, size=size)
     if param_samples is None:
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         drawn = _pole_free_samples(identity, size, samples, seed, pit)
     else:
         report.param_samples = list(param_samples)
+        if not report.param_samples:
+            raise ValueError("param_samples is empty")
         drawn = ((p, *_sample_matrices(identity, size, p)) for p in report.param_samples)
     checked = []
     for params, base, closed in drawn:

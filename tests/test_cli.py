@@ -310,6 +310,9 @@ def test_gen_hermite_check_at_zero_checks_n_zero(capsys):
                  "gegenbauer pole at --lambda -3/2:", id="gegenbauer-pole"),
     pytest.param(("invert", "--identity", "ultra_inv", "--lambda", "0"),
                  "gegenbauer rejects --lambda 0;", id="ultra_inv-lambda-0"),
+    pytest.param(("eval", "--family", "meixner_pollaczek", "--n", "2", "--lambda", "1",
+                  "--phase", "1,1"),
+                 "phase must be unimodular, got --phase 1,1", id="mp-phase-not-unimodular"),
     pytest.param(("gen-hermite", "coeffs", "--max-n", "0"),
                  "--max-n must be at least 1", id="coeffs-max-n-0"),
 ])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -79,8 +80,15 @@ _DEGENERATE_PARAMS = {
     GEGENBAUER: [ParamSet(lam=F(-1))],
     LAGUERRE: [ParamSet(alpha=F(-3))],
     CHARLIER: [ParamSet(a=F(0))],
-    MEIXNER: [ParamSet(beta_m=F(-2), c=F(1, 2))],
-    MEIXNER_POLLACZEK: [ParamSet(lam=F(0), phase=DEFAULT_PHASE)],
+    MEIXNER: [
+        ParamSet(beta_m=F(-2), c=F(1, 2)),
+        ParamSet(beta_m=F(0), c=F(1, 3)),
+        ParamSet(beta_m=F(3, 2), c=F(-1)),
+    ],
+    MEIXNER_POLLACZEK: [
+        ParamSet(lam=F(0), phase=DEFAULT_PHASE),
+        ParamSet(lam=F(-1, 2), phase=DEFAULT_PHASE),
+    ],
 }
 
 
@@ -107,6 +115,29 @@ def test_explicit_constructors_build_no_series(monkeypatch):
         params = sample_params(family, rng)
         for n in range(9):
             polynomial(family, n, params)
+
+
+def test_explicit_constructors_multiply_no_two_polynomials_of_degree_at_least_two(monkeypatch):
+    # each sum is a scalar-weighted list of rising factorials, built one
+    # linear factor at a time, not a convolution of two polynomial lists
+    rng = random.Random(15)
+    drawn = [(family, sample_params(family, rng)) for family in FAMILIES]
+    drawn += [(family, params) for family, sets in _DEGENERATE_PARAMS.items() for params in sets]
+    large = []
+    original = Poly.__mul__
+
+    def recording(self, other):
+        if self.degree >= 2 and isinstance(other, Poly) and other.degree >= 2:
+            large.append((self.degree, other.degree))
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", recording)
+    monkeypatch.setattr(Poly, "__rmul__", recording)
+    _polynomial_cached.cache_clear()
+    for family, params in drawn:
+        for n in range(13):
+            polynomial(family, n, params)
+    assert large == []
 
 
 def test_explicit_constructors_call_pochhammer_only_for_the_gegenbauer_ratio(monkeypatch):
@@ -240,6 +271,32 @@ def test_rel3_meixner_as_jacobi_with_poly_parameter():
         assert relation_check("rel3", n, params)
 
 
+def test_rel3_fails_when_the_shared_term_list_is_wrong(monkeypatch):
+    # the Jacobi side of rel3 is the Meixner constructor's term list, so the
+    # relation holds only while its other side comes from elsewhere
+    original = families._2f1_terms
+
+    def perturbed(*args):
+        terms = original(*args)
+        return terms[:-1] + [terms[-1] + 1]
+
+    monkeypatch.setattr(families, "_2f1_terms", perturbed)
+    _polynomial_cached.cache_clear()
+    try:
+        for n in range(5):
+            assert not relation_check("rel3", n, ParamSet(beta_m=F(2, 3), c=F(-3, 5)))
+    finally:
+        _polynomial_cached.cache_clear()
+
+
+def test_polynomial_index_must_be_an_int():
+    for n in (2.0, F(2), "2"):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            polynomial(JACOBI, n, ParamSet(alpha=F(1), beta=F(2)))
+    with pytest.raises(ValueError, match="got -1"):
+        polynomial(HERMITE, -1)
+
+
 def test_param_validation():
     with pytest.raises(ParamError, match="requires parameter"):
         polynomial(LAGUERRE, 1, ParamSet())
@@ -247,10 +304,11 @@ def test_param_validation():
         polynomial(HERMITE, 1, ParamSet(alpha=F(1)))
     with pytest.raises(ParamError, match="c != 0"):
         polynomial(MEIXNER, 1, ParamSet(beta_m=F(1), c=F(0)))
-    with pytest.raises(ParamError, match="unimodular"):
+    with pytest.raises(ParamError, match="unimodular") as raised:
         polynomial(
             MEIXNER_POLLACZEK, 1, ParamSet(lam=F(1), phase=GaussianRational(1, 1))
         )
+    assert str(raised.value) == "phase must be unimodular, got phase = 1,1"
     with pytest.raises(ParamError, match="lam = 0"):
         polynomial(GEGENBAUER, 1, ParamSet(lam=F(0)))
     with pytest.raises(PoleError):

@@ -160,6 +160,14 @@ def test_config_validation():
         verify_de(5, GenHermiteConfig(4))
 
 
+@pytest.mark.parametrize("value", [0.1, "1/3", 1.0])
+def test_config_takes_only_exact_odd_alphas(value):
+    # a float would be stored as its binary expansion, a str parsed silently
+    with pytest.raises(ValueError, match=f"got {value!r}"):
+        GenHermiteConfig(3, (value, 0))
+    assert GenHermiteConfig(3, (1, F(1, 3))).odd_alphas == (F(1), F(1, 3))
+
+
 def test_cross_check_with_generic_solver():
     from opinv.families import HERMITE
     from opinv.families import ParamSet

@@ -325,6 +325,32 @@ def test_given_samples_must_set_exactly_the_identity_parameters():
             verify_identity(identity, 3, param_samples=[params])
 
 
+@pytest.mark.parametrize("identity, kwargs, message", [
+    pytest.param("jacobi_inv", {"size": 0, "samples": 1}, "size must be at least 1, got 0",
+                 id="jacobi_inv-size-0"),
+    pytest.param("jacobi_inv", {"size": -2}, "size must be at least 1, got -2",
+                 id="jacobi_inv-size-negative"),
+    pytest.param("hermite_conv", {"size": -1}, "size must be at least 1, got -1",
+                 id="hermite_conv-size-negative"),
+    pytest.param("laguerre_inv", {"size": 3, "samples": 0}, "samples must be at least 1, got 0",
+                 id="samples-0"),
+    pytest.param("hermite_conv", {"size": 3, "samples": -1}, "samples must be at least 1",
+                 id="parameter-free-samples-negative"),
+    pytest.param("chebT_inverse", {"size": 3, "param_samples": []}, "param_samples is empty",
+                 id="no-given-samples"),
+])
+def test_verify_identity_refuses_an_empty_check(identity, kwargs, message):
+    # a check that compares nothing must not report a pass
+    with pytest.raises(ValueError, match=message):
+        verify_identity(identity, **kwargs)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_build_matrix_refuses_an_empty_matrix(size):
+    with pytest.raises(ValueError, match=f"size must be at least 1, got {size}"):
+        build_matrix("charlier_inv", size, ParamSet(a=F(1)))
+
+
 def test_sampling_is_deterministic():
     a = sample_params("jacobi_inv", 5, 4, seed=42)
     b = sample_params("jacobi_inv", 5, 4, seed=42)
