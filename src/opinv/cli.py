@@ -75,19 +75,6 @@ def _alpha_list(text: str):
     return tuple(_fraction(part) for part in text.split(","))
 
 
-def _int_at_least(minimum: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-    return value
-
-
-_positive_int = functools.partial(_int_at_least, 1)
-
-
 def _rhs(text: str) -> Tuple[Poly, ...]:
     try:
         return tuple(Poly.from_json(obj) for obj in json.loads(text))
@@ -186,15 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = add_parser("verify", help="verify one catalog identity")
     p_verify.add_argument("--identity", choices=ALL_IDENTITIES, required=True)
-    p_verify.add_argument("--size", type=_positive_int, default=8)
-    p_verify.add_argument("--samples", type=_positive_int, default=10)
+    p_verify.add_argument("--size", type=int, default=8)
+    p_verify.add_argument("--samples", type=int, default=10)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--pit", action="store_true",
                           help="grid sampling above the parameter degree bound")
 
     p_invert = add_parser("invert", help="build and invert an identity's matrix")
     p_invert.add_argument("--identity", choices=MATRIX_IDENTITIES, required=True)
-    p_invert.add_argument("--size", type=_positive_int, default=4)
+    p_invert.add_argument("--size", type=int, default=4)
     _add_param_flags(p_invert)
 
     p_solve = add_parser("solve", help="solve sum a_i D^i p_n = F_n both ways")
@@ -209,13 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = add_parser("gen-hermite", help="perturbed-Hermite pipeline")
     p_gen.add_argument("action", choices=("coeffs", "check", "kernel"))
-    p_gen.add_argument("--max-n", type=functools.partial(_int_at_least, 0), required=True)
+    p_gen.add_argument("--max-n", type=int, required=True)
     p_gen.add_argument("--odd-alphas", type=_alpha_list, default=())
 
     p_suite = add_parser("suite", help="run every identity at default sizes")
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--samples", type=_positive_int, default=SUITE_SAMPLES)
-    p_suite.add_argument("--size", type=_positive_int, default=SUITE_MATRIX_SIZE)
+    p_suite.add_argument("--samples", type=int, default=SUITE_SAMPLES)
+    p_suite.add_argument("--size", type=int, default=SUITE_MATRIX_SIZE)
     p_suite.add_argument("--pit", action="store_true")
 
     return parser

@@ -164,7 +164,7 @@ def validate_params(family: str, params: ParamSet, n: int = 0) -> None:
         if name not in required and value is not None:
             raise ParamError(f"{family} does not take parameter {name!r}")
     if family == MEIXNER and params.c == 0:
-        raise ParamError("meixner requires c != 0")
+        raise ParamError("meixner rejects {}: its generating function needs c != 0", "c", params.c)
     if family == MEIXNER_POLLACZEK and params.phase * conj(params.phase) != 1:
         phase = f"{real_part(params.phase)},{imag_part(params.phase)}"
         raise ParamError("phase must be unimodular, got {}", "phase", phase)

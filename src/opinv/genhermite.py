@@ -107,7 +107,7 @@ class GenHermiteConfig:
 
     def __post_init__(self):
         if self.max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {self.max_n}")
+            raise ValueError(f"max_n must be at least 0, got {self.max_n}")
         for value in self.odd_alphas:
             if not isinstance(value, (int, Fraction)):
                 raise ValueError(f"odd alphas must be ints or Fractions, got {value!r}")

@@ -1,5 +1,22 @@
-"""Triangular polynomial matrices, exact inversion, and the full catalog
-of inversion / convolution identities, each verified to zero residual.
+"""Triangular polynomial matrices, exact inversion, and the catalog of
+inversion / convolution identities, each verified to zero residual.
+
+The catalog is one table, ``_CATALOG``, that declares each identity once: a
+matrix identity by its parameters, base entries t and closed-form inverse
+entries u; a convolution identity by its parameters, its residual at n and
+any pole check.  The name lists and IDENTITY_PARAMS are read off it.
+
+In eleven matrix identities t_ij and u_ij depend on m = i - j alone: the
+matrices are lower-triangular Toeplitz, the Riordan arrays (g(t), t) of
+Shapiro, Getu, Woan & Woodson (Discrete Appl. Math. 34, 1991), and each is
+built from its column 0, every distinct entry once.  Eight of them are
+self-dual, u_m(p) = t_m(sigma(p)), sometimes taken at -x: a -> -a
+(Charlier), alpha -> -alpha-2 (plain Laguerre), lam -> -lam (Gegenbauer;
+Meixner-Pollaczek at -x, or with phase -> conj(phase)), beta -> -beta
+(Meixner), alpha -> -alpha-1 (Jacobi from ultraspherical), (alpha, beta) ->
+(-alpha-2, -beta) (Jacobi from Meixner).  Only the Legendre and Chebyshev
+U and T inverses are written out.  laguerre_inv and jacobi_inv shift their
+parameters with i or j, so their entries are functions of (i, j).
 
 Matrix identities are checked the strong way: the closed-form left factor
 must equal the computed inverse entry by entry, not merely give U*T = I.
@@ -11,9 +28,8 @@ trisolve's closed forms and genhermite's a_k apply the Laguerre, Jacobi and
 Hermite inverses written here; no other module restates one.
 
 Indexing: matrices are stored 0-based, matching the i,j = 0,1,2,... of the
-Charlier/Laguerre/Jacobi catalog entries; the banded Legendre/Chebyshev
-matrices are shift-invariant so the 1-based presentation they are usually
-given in differs only by a relabeling.
+Charlier/Laguerre/Jacobi catalog entries; the 1-based presentation of the
+Toeplitz Legendre/Chebyshev matrices differs only by a relabeling.
 
 The Jacobi inversion couples its scalar factor to (i, j, k) jointly, so it
 is not literally a product of two polynomial matrices.  Writing
@@ -32,7 +48,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -83,10 +99,13 @@ class LowerTriPolyMatrix:
         return cls([[entry(i, j) for j in range(i + 1)] for i in range(size)])
 
     @classmethod
+    def toeplitz(cls, column: Sequence[Poly]):
+        """The matrix whose (i, j) entry is column[i - j]."""
+        return cls([column[i::-1] for i in range(len(column))])
+
+    @classmethod
     def identity(cls, size: int):
-        return cls.from_entry_fn(
-            size, lambda i, j: Poly.one() if i == j else Poly.zero()
-        )
+        return cls.toeplitz([Poly.one() if m == 0 else Poly.zero() for m in range(size)])
 
     def entry(self, i: int, j: int) -> Poly:
         if j > i:
@@ -150,218 +169,114 @@ class LowerTriPolyMatrix:
 # identity catalog
 # ---------------------------------------------------------------------------
 
-MATRIX_IDENTITIES = (
-    "charlier_inv",
-    "laguerre_inv",
-    "laguerre_inv_plain",
-    "jacobi_inv",
-    "jacobi_from_meixner",
-    "jacobi_from_ultra",
-    "ultra_inv",
-    "meixner_inv",
-    "mp_inv_reflect",
-    "mp_inv_phase",
-    "legendre_limit_inverse",
-    "chebU_banded_inverse",
-    "chebT_inverse",
-)
+@dataclass(frozen=True)
+class _Matrix:
+    """A matrix identity: base entries t and the closed-form inverse u,
+    functions of (m, params) for a Toeplitz identity, of (i, j, params) for
+    any other.  literal, where set, is a second form of the inversion, a
+    function of (i, j, params) that must equal delta_ij."""
 
-CONVOLUTION_IDENTITIES = (
-    "hermite_conv",
-    "legendre_conv_u",
-    "chebT_geom_conv",
-    "chebU_recurrence",
-    "chebTU_relation",
-    "jacobi_two_var",
-)
-
-ALL_IDENTITIES = MATRIX_IDENTITIES + CONVOLUTION_IDENTITIES
-
-#: parameters each identity samples over
-IDENTITY_PARAMS = {
-    "charlier_inv": ("a",),
-    "laguerre_inv": ("alpha",),
-    "laguerre_inv_plain": ("alpha",),
-    "jacobi_inv": ("alpha", "beta"),
-    "jacobi_two_var": ("alpha", "beta"),
-    "jacobi_from_meixner": ("alpha", "beta"),
-    "jacobi_from_ultra": ("alpha",),
-    "ultra_inv": ("lam",),
-    "meixner_inv": ("beta_m", "c"),
-    "mp_inv_reflect": ("lam", "phase"),
-    "mp_inv_phase": ("lam", "phase"),
-    "hermite_conv": (),
-    "legendre_limit_inverse": (),
-    "chebU_banded_inverse": (),
-    "chebT_inverse": (),
-    "legendre_conv_u": (),
-    "chebT_geom_conv": (),
-    "chebU_recurrence": (),
-    "chebTU_relation": (),
-}
+    params: Tuple[str, ...]
+    base: Callable[..., Poly]
+    inverse: Callable[..., Poly]
+    toeplitz: bool = True
+    literal: Optional[Callable[[int, int, ParamSet], Poly]] = None
 
 
-def _check_identity_tag(identity: str):
-    if identity not in ALL_IDENTITIES:
-        raise ValueError(
-            f"unknown identity {identity!r}; expected one of {ALL_IDENTITIES}"
-        )
+@dataclass(frozen=True)
+class _Convolution:
+    """A convolution or recurrence identity: its residual at n must vanish
+    for n = 0..size; poles(size, params), where set, raises PoleError if
+    params hit a pole of those residuals."""
+
+    params: Tuple[str, ...]
+    residual: Callable[[int, ParamSet], Poly]
+    poles: Optional[Callable[[int, ParamSet], None]] = None
 
 
-def _check_size(size: int):
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+def _member(family: str) -> Callable[[int, ParamSet], Poly]:
+    """t_m(p): the family's m-th member at the identity's parameters."""
+    return lambda m, p: polynomial(family, m, p)
 
 
-def _check_params(identity: str, params: ParamSet):
-    """ParamError unless params sets exactly the parameters identity takes."""
-    expected = IDENTITY_PARAMS[identity]
-    given = [name for name, value in vars(params).items() if value is not None]
-    if set(given) != set(expected):
-        raise ParamError(
-            f"{identity} takes parameters ({', '.join(expected)}), got ({', '.join(given)})"
-        )
+def _self_dual(params, base, sigma, reflect=False) -> _Matrix:
+    """A Toeplitz identity whose inverse is its base at dual parameters:
+    u_m(p) = t_m(sigma(p)), taken at -x where reflect is set."""
+
+    def inverse(m: int, p: ParamSet) -> Poly:
+        u = base(m, sigma(p))
+        return u(_NEG_X) if reflect else u
+
+    return _Matrix(params, base, inverse)
 
 
-# -- base (right-factor) matrices -------------------------------------------
-
-def _matrix_entry(identity: str, i: int, j: int, params: ParamSet) -> Poly:
-    m = i - j
-    if identity == "charlier_inv":
-        return polynomial(CHARLIER, m, ParamSet(a=params.a))
-    if identity == "laguerre_inv":
-        return polynomial(LAGUERRE, m, ParamSet(alpha=params.alpha + j))
-    if identity == "laguerre_inv_plain":
-        return polynomial(LAGUERRE, m, ParamSet(alpha=params.alpha))
-    if identity == "jacobi_inv":
-        s = params.alpha + params.beta
-        num = pochhammer(s + i + 1, j)
-        den = pochhammer(s + j + 1, j)
-        if den == 0:
-            raise PoleError(f"jacobi_inv pole in column weight at (i,j)=({i},{j})")
-        return (num / den) * polynomial(
-            JACOBI, m, ParamSet(alpha=params.alpha + j, beta=params.beta + j)
-        )
-    if identity == "jacobi_from_meixner":
-        return polynomial(
-            JACOBI, m, ParamSet(alpha=params.alpha, beta=params.beta - m)
-        )
-    if identity == "jacobi_from_ultra":
-        num = pochhammer(2 * params.alpha + 1, m)
-        den = pochhammer(params.alpha + 1, m)
-        if den == 0:
-            raise PoleError(f"jacobi_from_ultra pole at (i,j)=({i},{j})")
-        return (num / den) * polynomial(
-            JACOBI, m, ParamSet(alpha=params.alpha, beta=params.alpha)
-        )
-    if identity == "ultra_inv":
-        return polynomial(GEGENBAUER, m, ParamSet(lam=params.lam))
-    if identity == "meixner_inv":
-        return polynomial(MEIXNER, m, ParamSet(beta_m=params.beta_m, c=params.c))
-    if identity in ("mp_inv_reflect", "mp_inv_phase"):
-        return polynomial(
-            MEIXNER_POLLACZEK, m, ParamSet(lam=params.lam, phase=params.phase)
-        )
-    if identity == "legendre_limit_inverse":
-        return polynomial(LEGENDRE, m)
-    if identity == "chebU_banded_inverse":
-        return polynomial(CHEBYSHEV_U, m)
-    if identity == "chebT_inverse":
-        return polynomial(CHEBYSHEV_T, m)
-    raise ValueError(f"{identity!r} has no base matrix")
-
-
-def build_matrix(identity: str, size: int, params: ParamSet = EMPTY_PARAMS) -> LowerTriPolyMatrix:
-    """The lower-triangular family-member matrix an identity inverts."""
-    _check_identity_tag(identity)
-    if identity not in MATRIX_IDENTITIES:
-        raise ValueError(f"{identity!r} is a convolution identity, not a matrix one")
-    _check_size(size)
-    _check_params(identity, params)
-    return LowerTriPolyMatrix.from_entry_fn(
-        size, lambda i, j: _matrix_entry(identity, i, j, params)
+def _ultraspherical_jacobi(m: int, p: ParamSet) -> Poly:
+    # (2a+1)_m / (a+1)_m * P_m^(a,a), a = alpha
+    den = pochhammer(p.alpha + 1, m)
+    if den == 0:
+        raise PoleError(f"jacobi_from_ultra pole at (i,j)=({m},0)")
+    return (pochhammer(2 * p.alpha + 1, m) / den) * polynomial(
+        JACOBI, m, ParamSet(alpha=p.alpha, beta=p.alpha)
     )
 
 
-# -- closed-form left factors -------------------------------------------------
-
-def closed_form_inverse_entry(
-    identity: str, i: int, j: int, params: ParamSet = EMPTY_PARAMS
-) -> Poly:
-    """The inverse-matrix entry u_ij the catalog asserts, j <= i."""
-    _check_identity_tag(identity)
-    if j > i:
-        return Poly.zero()
-    m = i - j
-    if identity == "charlier_inv":
-        return polynomial(CHARLIER, m, ParamSet(a=-params.a))(_NEG_X)
-    if identity == "laguerre_inv":
-        return polynomial(LAGUERRE, m, ParamSet(alpha=-params.alpha - i - 1))(_NEG_X)
-    if identity == "laguerre_inv_plain":
-        return polynomial(LAGUERRE, m, ParamSet(alpha=-params.alpha - 2))(_NEG_X)
-    if identity == "jacobi_inv":
-        s = params.alpha + params.beta
-        den = pochhammer(s + j + 1, i + 1)
-        if den == 0:
-            raise PoleError(f"jacobi_inv pole in row weight at (i,j)=({i},{j})")
-        factor = pochhammer(s + i + 1, i) * (s + 2 * j + 1) / den
-        return factor * polynomial(
-            JACOBI, m, ParamSet(alpha=-params.alpha - i - 1, beta=-params.beta - i - 1)
-        )
-    if identity == "jacobi_from_meixner":
-        return polynomial(
-            JACOBI, m, ParamSet(alpha=-params.alpha - 2, beta=-params.beta - m)
-        )
-    if identity == "jacobi_from_ultra":
-        num = pochhammer(-2 * params.alpha - 1, m)
-        den = pochhammer(-params.alpha, m)
-        if den == 0:
-            raise PoleError(f"jacobi_from_ultra pole at (i,j)=({i},{j})")
-        return (num / den) * polynomial(
-            JACOBI, m, ParamSet(alpha=-params.alpha - 1, beta=-params.alpha - 1)
-        )
-    if identity == "ultra_inv":
-        return polynomial(GEGENBAUER, m, ParamSet(lam=-params.lam))
-    if identity == "meixner_inv":
-        return polynomial(MEIXNER, m, ParamSet(beta_m=-params.beta_m, c=params.c))(_NEG_X)
-    if identity == "mp_inv_reflect":
-        return polynomial(
-            MEIXNER_POLLACZEK, m, ParamSet(lam=-params.lam, phase=params.phase)
-        )(_NEG_X)
-    if identity == "mp_inv_phase":
-        return polynomial(
-            MEIXNER_POLLACZEK,
-            m,
-            ParamSet(lam=-params.lam, phase=params.phase.conjugate()),
-        )
-    if identity == "legendre_limit_inverse":
-        if m == 0:
-            return Poly.one()
-        if m == 1:
-            return _NEG_X
-        b = polynomial(JACOBI, m - 1, ParamSet(alpha=Fraction(1), beta=Fraction(-1)))
-        return Fraction(1, m) * (Poly((1, -1)) * b)  # (1/m)(1-x) P_{m-1}^(1,-1)
-    if identity == "chebU_banded_inverse":
-        if m == 0 or m == 2:
-            return Poly.one()
-        if m == 1:
-            return Poly((0, -2))
-        return Poly.zero()
-    if identity == "chebT_inverse":
-        if m == 0:
-            return Poly.one()
-        if m == 1:
-            return _NEG_X
-        return Poly.x() ** (m - 2) * Poly((1, 0, -1))  # x^(m-2)(1-x^2)
-    raise ValueError(f"{identity!r} has no closed-form inverse")
-
-
-def closed_form_inverse(
-    identity: str, size: int, params: ParamSet = EMPTY_PARAMS
-) -> LowerTriPolyMatrix:
-    return LowerTriPolyMatrix.from_entry_fn(
-        size, lambda i, j: closed_form_inverse_entry(identity, i, j, params)
+def _jacobi_inv_base(i: int, j: int, p: ParamSet) -> Poly:
+    s = p.alpha + p.beta
+    den = pochhammer(s + j + 1, j)
+    if den == 0:
+        raise PoleError(f"jacobi_inv pole in column weight at (i,j)=({i},{j})")
+    return (pochhammer(s + i + 1, j) / den) * polynomial(
+        JACOBI, i - j, ParamSet(alpha=p.alpha + j, beta=p.beta + j)
     )
+
+
+def _jacobi_inv_inverse(i: int, j: int, p: ParamSet) -> Poly:
+    s = p.alpha + p.beta
+    den = pochhammer(s + j + 1, i + 1)
+    if den == 0:
+        raise PoleError(f"jacobi_inv pole in row weight at (i,j)=({i},{j})")
+    factor = pochhammer(s + i + 1, i) * (s + 2 * j + 1) / den
+    return factor * polynomial(
+        JACOBI, i - j, ParamSet(alpha=-p.alpha - i - 1, beta=-p.beta - i - 1)
+    )
+
+
+def _jacobi_inv_literal(i: int, j: int, p: ParamSet) -> Poly:
+    """The paper's literal triple sum for the Jacobi inversion at (i, j):
+    sum_k (a+b+2k+1)/(a+b+k+j+1)_{i-j+1} P_{i-k}^(-a-i-1,-b-i-1) P_{k-j}^(a+j,b+j)."""
+    a, b = p.alpha, p.beta
+    s = a + b
+    acc = Poly.zero()
+    for k in range(j, i + 1):
+        den = pochhammer(s + k + j + 1, i - j + 1)
+        if den == 0:
+            raise PoleError(f"jacobi_inv literal pole at (i,j,k)=({i},{j},{k})")
+        acc = acc + ((s + 2 * k + 1) / den) * (
+            polynomial(JACOBI, i - k, ParamSet(alpha=-a - i - 1, beta=-b - i - 1))
+            * polynomial(JACOBI, k - j, ParamSet(alpha=a + j, beta=b + j))
+        )
+    return acc
+
+
+def _legendre_limit_inverse(m: int, p: ParamSet) -> Poly:
+    if m == 0:
+        return Poly.one()
+    if m == 1:
+        return _NEG_X
+    b = polynomial(JACOBI, m - 1, ParamSet(alpha=Fraction(1), beta=Fraction(-1)))
+    return Fraction(1, m) * (Poly((1, -1)) * b)  # (1/m)(1-x) P_{m-1}^(1,-1)
+
+
+#: the band 1, -2x, 1 of the Chebyshev U inverse
+_CHEB_U_BAND = (Poly.one(), Poly((0, -2)), Poly.one())
+
+
+def _chebyshev_t_inverse(m: int, p: ParamSet) -> Poly:
+    if m == 0:
+        return Poly.one()
+    if m == 1:
+        return _NEG_X
+    return Poly.x() ** (m - 2) * Poly((1, 0, -1))  # x^(m-2)(1-x^2)
 
 
 def _hermite_inverse_factors(count: int) -> List[Poly]:
@@ -378,54 +293,22 @@ def _hermite_inverse_factors(count: int) -> List[Poly]:
     return factors
 
 
+def _convolve(f: Callable[[int], Poly], g: Callable[[int], Poly], n: int) -> Poly:
+    """sum_{k<=n} f(k) g(n-k), the t^n coefficient of a Cauchy product."""
+    return sum((f(k) * g(n - k) for k in range(n + 1)), Poly.zero())
+
+
 def apply_hermite_inverse(rhs: Sequence[Poly]) -> Tuple[Poly, ...]:
     """a_k = sum_{j<=k} i^(k-j) H_{k-j}(ix) F_j for F_1..F_N = rhs."""
     factors = _hermite_inverse_factors(len(rhs))
-    return tuple(
-        sum((factors[k - j] * rhs[j] for j in range(k + 1)), Poly.zero())
-        for k in range(len(rhs))
-    )
+    return tuple(_convolve(factors.__getitem__, rhs.__getitem__, k) for k in range(len(rhs)))
 
 
-# ---------------------------------------------------------------------------
-# convolution / recurrence verifiers
-# ---------------------------------------------------------------------------
-
-def _hermite_conv_residual(n: int) -> Poly:
+def _hermite_conv_residual(n: int, p: ParamSet) -> Poly:
     # sum_k H_k(x) H_{n-k}(ix) i^{n-k}  -  delta_{n0}
     factors = _hermite_inverse_factors(n + 1)
-    acc = sum((polynomial(HERMITE, k) * factors[n - k] for k in range(n + 1)), Poly.zero())
+    acc = _convolve(lambda k: polynomial(HERMITE, k), factors.__getitem__, n)
     return acc - (Poly.one() if n == 0 else Poly.zero())
-
-
-def _convolution_residual(identity: str, n: int) -> Poly:
-    if identity == "hermite_conv":
-        return _hermite_conv_residual(n)
-    if identity == "legendre_conv_u":
-        acc = sum(
-            (polynomial(LEGENDRE, k) * polynomial(LEGENDRE, n - k) for k in range(n + 1)),
-            Poly.zero(),
-        )
-        return acc - polynomial(CHEBYSHEV_U, n)
-    if identity == "chebT_geom_conv":
-        acc = sum(
-            (Poly.x() ** k * polynomial(CHEBYSHEV_T, n - k) for k in range(n + 1)),
-            Poly.zero(),
-        )
-        return acc - polynomial(CHEBYSHEV_U, n)
-    if identity == "chebU_recurrence":
-        return (
-            polynomial(CHEBYSHEV_U, n)
-            - Poly((0, 2)) * polynomial(CHEBYSHEV_U, n + 1)
-            + polynomial(CHEBYSHEV_U, n + 2)
-        )
-    if identity == "chebTU_relation":
-        return (
-            Poly((1, 0, -1)) * polynomial(CHEBYSHEV_U, n)
-            - Poly.x() * polynomial(CHEBYSHEV_T, n + 1)
-            + polynomial(CHEBYSHEV_T, n + 2)
-        )
-    raise ValueError(f"{identity!r} is not a scalar convolution identity")
 
 
 def jacobi_two_var_sides(n: int, alpha: Fraction, beta: Fraction):
@@ -456,6 +339,145 @@ def jacobi_two_var_sides(n: int, alpha: Fraction, beta: Fraction):
     return tuple(lhs), rhs
 
 
+def _jacobi_two_var_residual(n: int, p: ParamSet) -> Poly:
+    lhs, rhs = jacobi_two_var_sides(n, p.alpha, p.beta)
+    # the first y^m coefficient of lhs - rhs of highest x-degree
+    return max((l - r for l, r in zip(lhs, rhs)), key=lambda q: q.degree)
+
+
+def _jacobi_two_var_poles(size: int, p: ParamSet) -> None:
+    # the factors (s+k+1)_{n+1}, k <= n <= size, run over s+1 .. s+2*size+1
+    if pochhammer(p.alpha + p.beta + 1, 2 * size + 1) == 0:
+        raise PoleError(f"jacobi_two_var pole for n <= {size}")
+
+
+#: every identity of the catalog, matrix identities first
+_CATALOG = {
+    "charlier_inv": _self_dual(
+        ("a",), _member(CHARLIER), lambda p: ParamSet(a=-p.a), reflect=True),
+    "laguerre_inv": _Matrix(
+        ("alpha",),
+        lambda i, j, p: polynomial(LAGUERRE, i - j, ParamSet(alpha=p.alpha + j)),
+        lambda i, j, p: polynomial(LAGUERRE, i - j, ParamSet(alpha=-p.alpha - i - 1))(_NEG_X),
+        toeplitz=False),
+    "laguerre_inv_plain": _self_dual(
+        ("alpha",), _member(LAGUERRE), lambda p: ParamSet(alpha=-p.alpha - 2), reflect=True),
+    "jacobi_inv": _Matrix(
+        ("alpha", "beta"), _jacobi_inv_base, _jacobi_inv_inverse,
+        toeplitz=False, literal=_jacobi_inv_literal),
+    "jacobi_from_meixner": _self_dual(
+        ("alpha", "beta"),
+        lambda m, p: polynomial(JACOBI, m, ParamSet(alpha=p.alpha, beta=p.beta - m)),
+        lambda p: ParamSet(alpha=-p.alpha - 2, beta=-p.beta)),
+    "jacobi_from_ultra": _self_dual(
+        ("alpha",), _ultraspherical_jacobi, lambda p: ParamSet(alpha=-p.alpha - 1)),
+    "ultra_inv": _self_dual(("lam",), _member(GEGENBAUER), lambda p: ParamSet(lam=-p.lam)),
+    "meixner_inv": _self_dual(
+        ("beta_m", "c"), _member(MEIXNER), lambda p: replace(p, beta_m=-p.beta_m),
+        reflect=True),
+    "mp_inv_reflect": _self_dual(
+        ("lam", "phase"), _member(MEIXNER_POLLACZEK), lambda p: replace(p, lam=-p.lam),
+        reflect=True),
+    "mp_inv_phase": _self_dual(
+        ("lam", "phase"), _member(MEIXNER_POLLACZEK),
+        lambda p: ParamSet(lam=-p.lam, phase=p.phase.conjugate())),
+    "legendre_limit_inverse": _Matrix((), _member(LEGENDRE), _legendre_limit_inverse),
+    "chebU_banded_inverse": _Matrix(
+        (), _member(CHEBYSHEV_U), lambda m, p: _CHEB_U_BAND[m] if m < 3 else Poly.zero()),
+    "chebT_inverse": _Matrix((), _member(CHEBYSHEV_T), _chebyshev_t_inverse),
+    "hermite_conv": _Convolution((), _hermite_conv_residual),
+    "legendre_conv_u": _Convolution((), lambda n, p: _convolve(
+        lambda k: polynomial(LEGENDRE, k), lambda k: polynomial(LEGENDRE, k), n,
+    ) - polynomial(CHEBYSHEV_U, n)),
+    "chebT_geom_conv": _Convolution((), lambda n, p: _convolve(
+        lambda k: Poly.x() ** k, lambda k: polynomial(CHEBYSHEV_T, k), n,
+    ) - polynomial(CHEBYSHEV_U, n)),
+    "chebU_recurrence": _Convolution((), lambda n, p: (
+        polynomial(CHEBYSHEV_U, n)
+        - Poly((0, 2)) * polynomial(CHEBYSHEV_U, n + 1)
+        + polynomial(CHEBYSHEV_U, n + 2)
+    )),
+    "chebTU_relation": _Convolution((), lambda n, p: (
+        Poly((1, 0, -1)) * polynomial(CHEBYSHEV_U, n)
+        - Poly.x() * polynomial(CHEBYSHEV_T, n + 1)
+        + polynomial(CHEBYSHEV_T, n + 2)
+    )),
+    "jacobi_two_var": _Convolution(
+        ("alpha", "beta"), _jacobi_two_var_residual, _jacobi_two_var_poles),
+}
+
+MATRIX_IDENTITIES = tuple(name for name, spec in _CATALOG.items() if isinstance(spec, _Matrix))
+CONVOLUTION_IDENTITIES = tuple(name for name in _CATALOG if name not in MATRIX_IDENTITIES)
+ALL_IDENTITIES = MATRIX_IDENTITIES + CONVOLUTION_IDENTITIES
+
+#: parameters each identity samples over
+IDENTITY_PARAMS = {name: spec.params for name, spec in _CATALOG.items()}
+
+
+def _check_identity_tag(identity: str):
+    if identity not in _CATALOG:
+        raise ValueError(
+            f"unknown identity {identity!r}; expected one of {ALL_IDENTITIES}"
+        )
+
+
+def _check_size(size: int):
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+
+
+def _check_params(identity: str, params: ParamSet):
+    """ParamError unless params sets exactly the parameters identity takes."""
+    expected = IDENTITY_PARAMS[identity]
+    given = [name for name, value in vars(params).items() if value is not None]
+    if set(given) != set(expected):
+        raise ParamError(
+            f"{identity} takes parameters ({', '.join(expected)}), got ({', '.join(given)})"
+        )
+
+
+def _matrix_spec(identity: str) -> _Matrix:
+    _check_identity_tag(identity)
+    spec = _CATALOG[identity]
+    if not isinstance(spec, _Matrix):
+        raise ValueError(f"{identity!r} is a convolution identity, not a matrix one")
+    return spec
+
+
+def _matrix(identity: str, size: int, params: ParamSet, side: str) -> LowerTriPolyMatrix:
+    """The matrix of a matrix identity's base or inverse entries, as side
+    names the field; a Toeplitz one is built from its column 0."""
+    spec = _matrix_spec(identity)
+    _check_size(size)
+    _check_params(identity, params)
+    entry = getattr(spec, side)
+    if spec.toeplitz:
+        return LowerTriPolyMatrix.toeplitz([entry(m, params) for m in range(size)])
+    return LowerTriPolyMatrix.from_entry_fn(size, lambda i, j: entry(i, j, params))
+
+
+def build_matrix(identity: str, size: int, params: ParamSet = EMPTY_PARAMS) -> LowerTriPolyMatrix:
+    """The lower-triangular family-member matrix an identity inverts."""
+    return _matrix(identity, size, params, "base")
+
+
+def closed_form_inverse(
+    identity: str, size: int, params: ParamSet = EMPTY_PARAMS
+) -> LowerTriPolyMatrix:
+    """The inverse matrix the catalog asserts."""
+    return _matrix(identity, size, params, "inverse")
+
+
+def closed_form_inverse_entry(
+    identity: str, i: int, j: int, params: ParamSet = EMPTY_PARAMS
+) -> Poly:
+    """The inverse-matrix entry u_ij the catalog asserts, zero for j > i."""
+    spec = _matrix_spec(identity)
+    if j > i:
+        return Poly.zero()
+    return spec.inverse(i - j, params) if spec.toeplitz else spec.inverse(i, j, params)
+
+
 # ---------------------------------------------------------------------------
 # deterministic parameter sampling
 # ---------------------------------------------------------------------------
@@ -482,13 +504,12 @@ def _sample_matrices(identity: str, size: int, params: ParamSet):
     """(base, closed-form inverse) of a matrix identity at params, (None,
     None) for a convolution identity; raises PoleError or ParamError where
     params hit a pole."""
-    if identity in MATRIX_IDENTITIES:
+    spec = _CATALOG[identity]
+    if isinstance(spec, _Matrix):
         return build_matrix(identity, size, params), closed_form_inverse(identity, size, params)
     _check_params(identity, params)
-    if identity == "jacobi_two_var":
-        # the factors (s+k+1)_{n+1}, k <= n <= size, run over s+1 .. s+2*size+1
-        if pochhammer(params.alpha + params.beta + 1, 2 * size + 1) == 0:
-            raise PoleError(f"jacobi_two_var pole for n <= {size}")
+    if spec.poles is not None:
+        spec.poles(size, params)
     return None, None
 
 
@@ -553,9 +574,13 @@ def sample_params(
 
     With pit=True a grid is used whose side exceeds the per-parameter degree
     bound (2*size + 2) of every identity in the catalog, which turns the
-    zero-residual checks into a proof by polynomial identity testing.
+    zero-residual checks into a proof by polynomial identity testing; count
+    is then ignored.  ValueError for size < 1 or, without pit, count < 1.
     """
     _check_identity_tag(identity)
+    _check_size(size)
+    if count < 1 and not pit:
+        raise ValueError(f"count must be at least 1, got {count}")
     return [params for params, _, _ in _pole_free_samples(identity, size, count, seed, pit)]
 
 
@@ -570,7 +595,6 @@ class VerificationReport:
     param_samples: List[ParamSet] = field(default_factory=list)
     status: str = "pass"
     counterexample: Optional[dict] = None
-    max_residual_degree: int = -1
     elapsed_ms: float = 0.0
 
     @property
@@ -644,48 +668,27 @@ def verify_identity(
 
 def _counterexample(identity: str, size: int, params: ParamSet, base, closed):
     """(location, residual) of the first nonzero residual of one sample, or None."""
-    if identity in MATRIX_IDENTITIES:
-        computed = base.invert()
-        for i in range(size):
-            for j in range(i + 1):
-                residual = closed.entry(i, j) - computed.entry(i, j)
-                if not residual.is_zero():
-                    return {"i": i, "j": j, "params": _params_json(params)}, residual
-        if identity == "jacobi_inv":
-            return _jacobi_inv_literal_counterexample(size, params)
-        return None
-    for n in range(size + 1):
-        if identity == "jacobi_two_var":
-            lhs, rhs = jacobi_two_var_sides(n, params.alpha, params.beta)
-            # the first y^m coefficient of lhs - rhs of highest x-degree
-            residual = max((l - r for l, r in zip(lhs, rhs)), key=lambda p: p.degree)
-        else:
-            residual = _convolution_residual(identity, n)
+    spec = _CATALOG[identity]
+    if isinstance(spec, _Convolution):
+        return _first_nonzero(
+            (({"n": n}, spec.residual(n, params)) for n in range(size + 1)), params)
+    computed = base.invert()
+    cells = [(i, j) for i in range(size) for j in range(i + 1)]
+    found = _first_nonzero(
+        (({"i": i, "j": j}, closed.entry(i, j) - computed.entry(i, j)) for i, j in cells), params)
+    if found is None and spec.literal is not None:
+        found = _first_nonzero(
+            (({"i": i, "j": j, "form": "literal"},
+              spec.literal(i, j, params) - (Poly.one() if i == j else Poly.zero()))
+             for i, j in cells), params)
+    return found
+
+
+def _first_nonzero(residuals, params: ParamSet):
+    """(location with params, residual) of the first nonzero one, or None."""
+    for location, residual in residuals:
         if not residual.is_zero():
-            return {"n": n, "params": _params_json(params)}, residual
-    return None
-
-
-def _jacobi_inv_literal_counterexample(size: int, params: ParamSet):
-    """The paper's literal triple sum for the Jacobi inversion:
-    sum_k (a+b+2k+1)/(a+b+k+j+1)_{i-j+1} P_{i-k}^(-a-i-1,-b-i-1) P_{k-j}^(a+j,b+j) = delta_ij;
-    (location, residual) of its first nonzero residual, or None."""
-    a, b = params.alpha, params.beta
-    s = a + b
-    for i in range(size):
-        for j in range(i + 1):
-            acc = Poly.zero()
-            for k in range(j, i + 1):
-                den = pochhammer(s + k + j + 1, i - j + 1)
-                if den == 0:
-                    raise PoleError(f"jacobi_inv literal pole at (i,j,k)=({i},{j},{k})")
-                acc = acc + ((s + 2 * k + 1) / den) * (
-                    polynomial(JACOBI, i - k, ParamSet(alpha=-a - i - 1, beta=-b - i - 1))
-                    * polynomial(JACOBI, k - j, ParamSet(alpha=a + j, beta=b + j))
-                )
-            residual = acc - (Poly.one() if i == j else Poly.zero())
-            if not residual.is_zero():
-                return {"i": i, "j": j, "form": "literal", "params": _params_json(params)}, residual
+            return dict(location, params=_params_json(params)), residual
     return None
 
 

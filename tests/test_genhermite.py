@@ -154,7 +154,7 @@ def test_verify_de_reports_residuals_of_a_perturbed_model():
 def test_config_validation():
     with pytest.raises(ValueError, match="need at least"):
         GenHermiteConfig(8, (F(1),))
-    with pytest.raises(ValueError, match="max_n must be >= 0"):
+    with pytest.raises(ValueError, match="max_n must be at least 0, got -3"):
         GenHermiteConfig(max_n=-3)
     with pytest.raises(ValueError, match="exceeds"):
         verify_de(5, GenHermiteConfig(4))

@@ -1,11 +1,13 @@
 """Source hygiene: no module-level import in the package or the tests goes
-unused, and no module-level private name of the package outlives its last
-use."""
+unused, no module-level private name of the package outlives its last use,
+and the inversion catalog names each identity in one place only."""
 
 import ast
 import pathlib
 
 import pytest
+
+from opinv.inversion import ALL_IDENTITIES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "opinv").glob("*.py"))
@@ -61,3 +63,16 @@ def test_every_private_module_name_is_used_in_the_package(path):
     used = set().union(*(_read_names(ast.parse(p.read_text(), str(p))) for p in PACKAGE))
     defined = _private_definitions(ast.parse(path.read_text(), str(path)))
     assert sorted((line, name) for name, line in defined.items() if name not in used) == []
+
+
+def test_each_identity_is_named_once_in_inversion_as_its_table_key():
+    # the catalog table is the one place that names an identity, so no
+    # dispatch on an identity's name can come back
+    path = ROOT / "src" / "opinv" / "inversion.py"
+    tree = ast.parse(path.read_text(), str(path))
+    tables = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["_CATALOG"]]
+    assert len(tables) == 1 and isinstance(tables[0], ast.Dict)
+    assert [key.value for key in tables[0].keys] == list(ALL_IDENTITIES)
+    strings = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert {name: strings.count(name) for name in ALL_IDENTITIES} == dict.fromkeys(ALL_IDENTITIES, 1)

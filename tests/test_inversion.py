@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -269,42 +270,71 @@ def test_verify_identity_reports_counterexample_location():
     assert report.to_json()["status"] == "pass"
 
 
-def test_verify_identity_reports_perturbed_entry(monkeypatch):
+def _perturbed_report(monkeypatch, identity, cell):
+    """verify_identity's report with 1 added to the closed-form inverse at
+    cell: (m,) for a Toeplitz identity, (i, j) for any other."""
     from opinv import inversion
 
-    expected_samples = sample_params("charlier_inv", 4, 3, seed=5)
-    entry = inversion.closed_form_inverse_entry
+    spec = inversion._CATALOG[identity]
 
-    def perturbed(identity, i, j, params=ParamSet()):
-        value = entry(identity, i, j, params)
-        return value + 1 if (identity, i, j) == ("charlier_inv", 2, 1) else value
+    def perturbed(*args):  # (m, params) or (i, j, params)
+        value = spec.inverse(*args)
+        return value + 1 if args[:-1] == cell else value
 
-    monkeypatch.setattr(inversion, "closed_form_inverse_entry", perturbed)
-    report = verify_identity("charlier_inv", size=4, samples=3, seed=5)
+    monkeypatch.setitem(inversion._CATALOG, identity, replace(spec, inverse=perturbed))
+    report = verify_identity(identity, size=4, samples=3, seed=5)
+    expected_samples = sample_params(identity, 4, 3, seed=5)
     assert report.status == "fail"
-    cx = report.counterexample
-    assert (cx["i"], cx["j"]) == (2, 1)
-    assert cx["params"] == {"a": format_scalar(expected_samples[0].a)}
-    assert cx["residual"] == {"var": "x", "coeffs": ["1"]}
+    (name,) = inversion.IDENTITY_PARAMS[identity]
+    assert report.counterexample["params"] == {
+        name: format_scalar(getattr(expected_samples[0], name))}
+    assert report.counterexample["residual"] == {"var": "x", "coeffs": ["1"]}
     # the check stops at the first sample, the report lists all of them
     assert report.param_samples == expected_samples
     assert len(expected_samples) == 3
+    return report.counterexample
+
+
+def test_verify_identity_reports_perturbed_entry(monkeypatch):
+    # u_1 of a Toeplitz identity fills the whole first subdiagonal, which
+    # row-major order meets first at (1, 0)
+    cx = _perturbed_report(monkeypatch, "charlier_inv", (1,))
+    assert (cx["i"], cx["j"]) == (1, 0)
+
+
+def test_verify_identity_reports_perturbed_entry_off_column_0(monkeypatch):
+    cx = _perturbed_report(monkeypatch, "laguerre_inv", (2, 1))
+    assert (cx["i"], cx["j"]) == (2, 1)
 
 
 def test_verify_identity_builds_each_sample_once(monkeypatch):
     from opinv import inversion
 
     calls = []
-    for name in ("_matrix_entry", "closed_form_inverse_entry"):
-        original = getattr(inversion, name)
-        monkeypatch.setattr(
-            inversion, name,
-            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args),
-        )
+    spec = inversion._CATALOG["jacobi_inv"]
+
+    def counted(side, entry):
+        return lambda *args: calls.append(side) or entry(*args)
+
+    monkeypatch.setitem(inversion._CATALOG, "jacobi_inv", replace(
+        spec, base=counted("base", spec.base), inverse=counted("inverse", spec.inverse)))
     report = verify_identity("jacobi_inv", size=4, samples=3, seed=2)
     assert report.passed and len(report.param_samples) == 3
     # 10 entries per matrix, no candidate rejected at this seed
-    assert calls.count("_matrix_entry") == calls.count("closed_form_inverse_entry") == 30
+    assert calls.count("base") == calls.count("inverse") == 30
+
+
+def test_toeplitz_matrix_is_built_from_one_column(monkeypatch):
+    # charlier_inv's inverse entries C_m^(-a)(-x) depend on m = i - j alone:
+    # at size 10 its 10 distinct entries are composed in -x once each, not
+    # once for each of the 55 entries of the matrix
+    neg_x = Poly((0, -1))
+    compose = Poly.__call__
+    calls = []
+    monkeypatch.setattr(Poly, "__call__", lambda p, q: calls.append(q == neg_x) or compose(p, q))
+    inverse = closed_form_inverse("charlier_inv", 10, ParamSet(a=F(2, 3)))
+    assert calls.count(True) == 10
+    assert all(inverse.entry(i, j) == inverse.entry(i - j, 0) for i in range(10) for j in range(i))
 
 
 def test_given_samples_with_pole_raise():
@@ -349,6 +379,19 @@ def test_verify_identity_refuses_an_empty_check(identity, kwargs, message):
 def test_build_matrix_refuses_an_empty_matrix(size):
     with pytest.raises(ValueError, match=f"size must be at least 1, got {size}"):
         build_matrix("charlier_inv", size, ParamSet(a=F(1)))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_closed_form_inverse_refuses_an_empty_matrix(size):
+    # a 0x0 matrix would pass is_identity() having compared nothing
+    with pytest.raises(ValueError, match=f"size must be at least 1, got {size}"):
+        closed_form_inverse("charlier_inv", size, ParamSet(a=F(1)))
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_params_refuses_an_empty_draw(count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        sample_params("charlier_inv", 3, count, 1)
 
 
 def test_sampling_is_deterministic():
